@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -154,18 +155,6 @@ void BM_SearchTop50MaxScore(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchTop50MaxScore)->Unit(benchmark::kMicrosecond);
 
-void BM_SearchTop50BlockMaxWand(benchmark::State& state) {
-  OfflineLab* lab = GetLab();
-  size_t i = 0;
-  for (auto _ : state) {
-    auto r = lab->flat.Search(lab->regular_queries[i], 50, Bm25Params{},
-                              QueryEvaluator::kBlockMaxWand);
-    benchmark::DoNotOptimize(r);
-    i = (i + 1) % lab->regular_queries.size();
-  }
-}
-BENCHMARK(BM_SearchTop50BlockMaxWand)->Unit(benchmark::kMicrosecond);
-
 void BM_PhraseCountLegacy(benchmark::State& state) {
   OfflineLab* lab = GetLab();
   size_t i = 0;
@@ -286,6 +275,12 @@ EvaluatorLeg TimeEvaluator(OfflineLab* lab, const char* name,
 
 // ---- corpus-scale legs: streaming build, docid reorder, click log ----
 
+/// The evaluators each scale leg times, in report order.
+constexpr QueryEvaluator kScaleEvaluators[] = {QueryEvaluator::kExhaustive,
+                                               QueryEvaluator::kMaxScore};
+constexpr const char* kScaleEvaluatorNames[] = {"exhaustive", "maxscore"};
+constexpr size_t kNumScaleEvaluators = std::size(kScaleEvaluators);
+
 struct ScaleLeg {
   size_t target_docs = 0;
   size_t docs = 0;
@@ -301,11 +296,8 @@ struct ScaleLeg {
   bool bit_identical = true;
   size_t queries = 0;
   int repeats = 0;
-  double evaluator_seconds[3] = {0.0, 0.0, 0.0};  // exhaustive, ms, bmw.
+  double evaluator_seconds[kNumScaleEvaluators] = {};
 };
-
-constexpr const char* kScaleEvaluatorNames[3] = {"exhaustive", "maxscore",
-                                                 "block_max_wand"};
 
 /// Serving depth for the timed scale legs (bit-identity is also checked at
 /// top-50).
@@ -316,7 +308,7 @@ constexpr size_t kScaleTopK = 10;
 /// reorder), compare compressed posting bytes, assert every evaluator on
 /// the reordered index returns the add-order exhaustive results
 /// bit-identically (external ids make the comparison layout-free), then
-/// time the three evaluators over an entity-key query workload and stream
+/// time both evaluators over an entity-key query workload and stream
 /// an ORCAS-shaped click log over the same corpus.
 ScaleLeg RunScaleLeg(size_t target_docs) {
   ScaleLeg leg;
@@ -381,9 +373,7 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
   for (const std::string& q : queries) {
     for (size_t k : {size_t{50}, kScaleTopK}) {
       const auto oracle = add_order.Search(q, k);
-      for (QueryEvaluator evaluator :
-           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-            QueryEvaluator::kBlockMaxWand}) {
+      for (QueryEvaluator evaluator : kScaleEvaluators) {
         leg.bit_identical =
             leg.bit_identical &&
             SameResults(oracle,
@@ -396,15 +386,13 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
   // the pruning thresholds bite — the crossover where MaxScore overtakes
   // the CSR exhaustive scan is exactly what these legs exist to record.
   leg.repeats = target_docs <= 10000 ? 10 : target_docs <= 200000 ? 3 : 1;
-  const QueryEvaluator evaluators[3] = {QueryEvaluator::kExhaustive,
-                                        QueryEvaluator::kMaxScore,
-                                        QueryEvaluator::kBlockMaxWand};
-  for (size_t e = 0; e < 3; ++e) {
+  for (size_t e = 0; e < kNumScaleEvaluators; ++e) {
     t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < leg.repeats; ++r) {
       for (const std::string& q : queries) {
         benchmark::DoNotOptimize(
-            reordered.Search(q, kScaleTopK, Bm25Params{}, evaluators[e]));
+            reordered.Search(q, kScaleTopK, Bm25Params{},
+                             kScaleEvaluators[e]));
       }
     }
     leg.evaluator_seconds[e] = WallSeconds(t0);
@@ -719,9 +707,7 @@ void RunSummary() {
     pruned_identical =
         pruned_identical &&
         SameResults(oracle, lab->flat.Search(q, 50, Bm25Params{},
-                                             QueryEvaluator::kMaxScore)) &&
-        SameResults(oracle, lab->flat.Search(q, 50, Bm25Params{},
-                                             QueryEvaluator::kBlockMaxWand));
+                                             QueryEvaluator::kMaxScore));
   }
   const uint64_t block_postings = lab->flat.block_index().store().NumPostings();
   // The uncompressed baseline: the flat index's CSR doc + tf columns at
@@ -737,16 +723,13 @@ void RunSummary() {
     pruned_identical =
         pruned_identical &&
         SameResults(oracle, lab->flat.Search(q, 50, Bm25Params{},
-                                             QueryEvaluator::kMaxScore)) &&
-        SameResults(oracle, lab->flat.Search(q, 50, Bm25Params{},
-                                             QueryEvaluator::kBlockMaxWand));
+                                             QueryEvaluator::kMaxScore));
   }
   lab->flat.RebuildBlockIndex(BlockCodec::kVarintGB);
 
   const EvaluatorLeg legs[] = {
       TimeEvaluator(lab, "exhaustive", QueryEvaluator::kExhaustive),
       TimeEvaluator(lab, "maxscore", QueryEvaluator::kMaxScore),
-      TimeEvaluator(lab, "block_max_wand", QueryEvaluator::kBlockMaxWand),
   };
   auto scored_reduction = [&legs](const EvaluatorLeg& leg) {
     return legs[0].postings_scored > 0
@@ -875,7 +858,7 @@ void RunSummary() {
                 leg.click_seconds);
     std::printf("    evaluators (%zu queries x%d):", leg.queries,
                 leg.repeats);
-    for (size_t e = 0; e < 3; ++e) {
+    for (size_t e = 0; e < kNumScaleEvaluators; ++e) {
       std::printf("  %s %.3fs", kScaleEvaluatorNames[e],
                   leg.evaluator_seconds[e]);
     }
@@ -970,7 +953,7 @@ void RunSummary() {
                                         static_cast<double>(simple8b_bytes)
                                   : 0.0);
   std::fprintf(f, "    \"evaluators\": [\n");
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < std::size(legs); ++i) {
     const EvaluatorLeg& leg = legs[i];
     std::fprintf(f,
                  "      {\"name\": \"%s\", \"p50_us\": %.2f, \"p99_us\": "
@@ -982,7 +965,7 @@ void RunSummary() {
                  scored_reduction(leg),
                  static_cast<unsigned long long>(leg.blocks_decoded),
                  static_cast<unsigned long long>(leg.blocks_skipped),
-                 i + 1 < 3 ? "," : "");
+                 i + 1 < std::size(legs) ? "," : "");
   }
   std::fprintf(f, "    ]\n  },\n");
   // Corpus-scale legs: streamed out-of-core builds at paper scale and
@@ -1029,10 +1012,10 @@ void RunSummary() {
                  leg.bit_identical ? "true" : "false", leg.queries,
                  leg.repeats, kScaleTopK);
     std::fprintf(f, "     \"evaluators\": [");
-    for (size_t e = 0; e < 3; ++e) {
+    for (size_t e = 0; e < kNumScaleEvaluators; ++e) {
       std::fprintf(f, "{\"name\": \"%s\", \"total_seconds\": %.4f}%s",
                    kScaleEvaluatorNames[e], leg.evaluator_seconds[e],
-                   e + 1 < 3 ? ", " : "");
+                   e + 1 < kNumScaleEvaluators ? ", " : "");
     }
     std::fprintf(f, "]}%s\n", i + 1 < scale_legs.size() ? "," : "");
   }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# The one gate: tier-1 tests, the three sanitizer suites (with
-# CKR_DCHECK invariants live — the presets set CKR_ENABLE_DCHECKS, which
-# also arms the runtime lock-order registry), the ckr_lint contract
-# linter over the tree, and the clang thread-safety-analysis build plus
-# clang-tidy when clang is available.
+# The one gate: tier-1 tests, the Release (-O3) build and its tests, the
+# three sanitizer suites (with CKR_DCHECK invariants live — the presets
+# set CKR_ENABLE_DCHECKS, which also arms the runtime lock-order
+# registry), the ckr_lint contract linter over the tree, and the clang
+# thread-safety-analysis build plus clang-tidy when clang is available.
 # Exits non-zero if anything fails; CI runs exactly this script.
 #
 # Usage: scripts/check_all.sh
@@ -14,6 +14,15 @@ echo "== tier-1: configure + build + ctest (default preset) =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
+
+echo "== release: configure + build + ctest at -O3 (release preset) =="
+# The shipping optimisation level. -O3 inlines deeper than
+# RelWithDebInfo's -O2, so GCC's -Wrestrict and similar analyses see code
+# the default build never shows them (same -Werror); the whole suite must
+# also pass on the optimised binaries.
+cmake --preset release
+cmake --build --preset release -j "$(nproc)"
+ctest --preset release -j "$(nproc)"
 
 echo "== corpus-scale smoke: 50k-doc streamed build + docid reorder =="
 # Streams a ~50k-doc scaled world through the out-of-core index build,
@@ -43,9 +52,9 @@ echo "== obs kill switch: CKR_OBS_DISABLED build + rank-fingerprint diff =="
 # Build with every CKR_OBS_* hook compiled out, run the kill-switch suite,
 # then prove observability never changes ranking: obs_disabled_test writes
 # an FNV-1a fingerprint of its ranked output — which also folds in the
-# block-index top-50 results of every query evaluator (exhaustive,
-# MaxScore, Block-Max-WAND), so the diff covers the block postings build
-# and the pruned search paths too — and the fingerprint from the
+# block-index top-50 results of both query evaluators (exhaustive,
+# MaxScore), so the diff covers the block postings build and the pruned
+# search path too — and the fingerprint from the
 # instrumented build must be byte-identical to the obs-off one.
 cmake --preset obs-off
 cmake --build --preset obs-off -j "$(nproc)"

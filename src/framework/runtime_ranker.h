@@ -34,11 +34,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/epoch_set.h"
 #include "common/hash.h"
 #include "common/status.h"
 #include "detect/entity_detector.h"
-#include "framework/binary_io.h"
 #include "features/interestingness.h"
 #include "features/relevance.h"
 #include "obs/clock.h"

@@ -10,6 +10,15 @@
 namespace ckr {
 namespace {
 
+/// Exact BM25 contribution of one posting under default parameters — the
+/// same expression, in the same operation order, as the exhaustive CSR
+/// scorer, so the doubles are identical.
+double ExactContribution(double idf, uint32_t tf, double norm) {
+  const Bm25Params defaults;
+  const double tfd = static_cast<double>(tf);
+  return idf * tfd * (defaults.k1 + 1.0) / (tfd + norm);
+}
+
 /// One live query term inside an evaluator. `orig` is the term's position
 /// in the query's tids span — the summation slot that keeps every fl-sum
 /// in query order.
@@ -80,14 +89,14 @@ void BlockMaxIndex::Builder::AddTerm(Span<const uint32_t> docs,
 void BlockMaxIndex::Builder::AddTermScored(Span<const uint32_t> docs,
                                            Span<const uint32_t> tfs,
                                            double idf) {
-  const Bm25Params defaults;
-  scores_.resize(docs.size());
+  double term_max = 0.0;
   for (size_t i = 0; i < docs.size(); ++i) {
-    const double tf = static_cast<double>(tfs[i]);
-    scores_[i] = idf * tf * (defaults.k1 + 1.0) /
-                 (tf + index_.default_norm_[docs[i]]);
+    const double c =
+        ExactContribution(idf, tfs[i], index_.default_norm_[docs[i]]);
+    term_max = std::max(term_max, c);
   }
-  store_builder_.AddTerm(docs, tfs, MakeSpan(scores_));
+  index_.term_max_score_.push_back(term_max);
+  store_builder_.AddTerm(docs, tfs);
   ++terms_added_;
 }
 
@@ -106,10 +115,7 @@ BlockMaxIndex BlockMaxIndex::Builder::Finish() {
 
 double BlockMaxIndex::Contribution(uint32_t tid, uint32_t doc,
                                    uint32_t tf) const {
-  const Bm25Params defaults;
-  const double tfd = static_cast<double>(tf);
-  return term_idf_[tid] * tfd * (defaults.k1 + 1.0) /
-         (tfd + default_norm_[doc]);
+  return ExactContribution(term_idf_[tid], tf, default_norm_[doc]);
 }
 
 void BlockMaxIndex::RecomputeIdf() {
@@ -122,6 +128,25 @@ void BlockMaxIndex::RecomputeIdf() {
   }
 }
 
+Status BlockMaxIndex::ValidateAndBound() {
+  uint32_t docs[kPostingBlockSize];
+  uint32_t tfs[kPostingBlockSize];
+  term_max_score_.assign(store_.NumTerms(), 0.0);
+  for (size_t t = 0; t < term_max_score_.size(); ++t) {
+    const uint32_t tid = static_cast<uint32_t>(t);
+    const uint32_t first = store_.TermFirstBlock(tid);
+    for (uint32_t b = first; b < first + store_.TermBlocks(tid); ++b) {
+      CKR_RETURN_IF_ERROR(store_.ValidateBlock(tid, b, NumDocs(), docs, tfs));
+      const uint32_t count = store_.BlockDocCount(tid, b);
+      for (uint32_t j = 0; j < count; ++j) {
+        term_max_score_[t] =
+            std::max(term_max_score_[t], Contribution(tid, docs[j], tfs[j]));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 std::vector<SearchResult> BlockMaxIndex::TopK(Span<const uint32_t> tids,
                                               size_t k,
                                               QueryEvaluator evaluator) const {
@@ -130,8 +155,6 @@ std::vector<SearchResult> BlockMaxIndex::TopK(Span<const uint32_t> tids,
       return TopKExhaustive(tids, k);
     case QueryEvaluator::kMaxScore:
       return TopKMaxScore(tids, k);
-    case QueryEvaluator::kBlockMaxWand:
-      return TopKBlockMaxWand(tids, k);
   }
   CKR_CHECK(false && "unreachable evaluator");
   return {};
@@ -191,7 +214,7 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
     QueryTerm qt;
     qt.orig = i;
     qt.tid = tids[i];
-    qt.max_score = store_.TermMaxScore(tids[i]);
+    qt.max_score = term_max_score_[tids[i]];
     qt.cursor = PostingCursor(&store_, tids[i]);
     if (!qt.cursor.AtEnd()) terms.push_back(std::move(qt));
   }
@@ -277,141 +300,18 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
   return heap.Take();
 }
 
-// ---- Block-Max-WAND ----
-//
-// Cursors stay sorted by current doc. The pivot is the first position
-// where the query-order sum of list-wide maxima reaches the threshold:
-// no document before the pivot's can enter (it appears only in lists
-// whose max-sum falls strictly short). The pivot document is then tested
-// against the *block* maxima of the lists at or before it — a much
-// tighter bound. If even that falls short, every doc up to the smallest
-// involved block boundary is skipped without decoding anything;
-// otherwise the pivot is either scored exactly (when all preceding
-// cursors align on it) or a preceding cursor is advanced to it.
-
-std::vector<SearchResult> BlockMaxIndex::TopKBlockMaxWand(
-    Span<const uint32_t> tids, size_t k) const {
-  std::vector<QueryTerm> terms;
-  terms.reserve(tids.size());
-  for (size_t i = 0; i < tids.size(); ++i) {
-    QueryTerm qt;
-    qt.orig = i;
-    qt.tid = tids[i];
-    qt.max_score = store_.TermMaxScore(tids[i]);
-    qt.cursor = PostingCursor(&store_, tids[i]);
-    if (!qt.cursor.AtEnd()) terms.push_back(std::move(qt));
-  }
-  TopKHeap heap(k);
-  if (terms.empty() || k == 0) return heap.Take();
-
-  std::vector<QueryTerm*> order(terms.size());
-  for (size_t i = 0; i < terms.size(); ++i) order[i] = &terms[i];
-  std::vector<std::pair<size_t, double>> vals;
-  while (true) {
-    std::sort(order.begin(), order.end(),
-              [](const QueryTerm* a, const QueryTerm* b) {
-                if (a->cursor.doc() != b->cursor.doc()) {
-                  return a->cursor.doc() < b->cursor.doc();
-                }
-                return a->orig < b->orig;
-              });
-    size_t live = order.size();
-    while (live > 0 && order[live - 1]->cursor.AtEnd()) --live;
-    if (live == 0) break;
-
-    // Pivot: smallest prefix whose query-order max-sum reaches theta.
-    size_t p = 0;
-    if (heap.Full()) {
-      const double theta = heap.ThresholdScore();
-      vals.clear();
-      bool found = false;
-      for (p = 0; p < live; ++p) {
-        vals.emplace_back(order[p]->orig, order[p]->max_score);
-        std::vector<std::pair<size_t, double>> copy = vals;
-        if (SumInQueryOrder(&copy) >= theta) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) break;  // No remaining document can enter.
-    }
-    const uint32_t pivot_doc = order[p]->cursor.doc();
-    // Extend over cursors already sitting on the pivot document.
-    size_t pe = p;
-    while (pe + 1 < live && order[pe + 1]->cursor.doc() == pivot_doc) ++pe;
-
-    // Shallow probe: per-list block maxima at the pivot document.
-    double block_bound = 0.0;
-    uint32_t min_last = PostingCursor::kEndDoc;
-    {
-      vals.clear();
-      for (size_t j = 0; j <= pe; ++j) {
-        const PostingCursor::BlockBound bb =
-            order[j]->cursor.ShallowBound(pivot_doc);
-        vals.emplace_back(order[j]->orig, bb.max_score);
-        min_last = std::min(min_last, bb.last_doc);
-      }
-      block_bound = SumInQueryOrder(&vals);
-    }
-    if (heap.Full() && block_bound < heap.ThresholdScore()) {
-      // Not even the block maxima reach the threshold: every document up
-      // to the nearest involved block boundary is unreachable. Jump past
-      // it (clamped by the next list's current doc, whose contributions
-      // the bound does not cover).
-      uint32_t dprime = min_last == PostingCursor::kEndDoc
-                            ? PostingCursor::kEndDoc
-                            : min_last + 1;
-      if (pe + 1 < live) {
-        dprime = std::min(dprime, order[pe + 1]->cursor.doc());
-      }
-      dprime = std::max(dprime, pivot_doc + 1);
-      for (size_t j = 0; j <= pe; ++j) {
-        if (order[j]->cursor.doc() < dprime) order[j]->cursor.NextGEQ(dprime);
-      }
-      continue;
-    }
-    if (order[0]->cursor.doc() == pivot_doc) {
-      // All cursors up to pe sit on the pivot: score it exactly.
-      vals.clear();
-      for (size_t j = 0; j <= pe; ++j) {
-        vals.emplace_back(order[j]->orig,
-                          Contribution(order[j]->tid, pivot_doc,
-                                       order[j]->cursor.tf()));
-      }
-      CKR_OBS_COUNTER_ADD("ckr.index.postings_scored", pe + 1);
-      PushCounted(&heap, {ext_id_[pivot_doc], SumInQueryOrder(&vals)});
-      for (size_t j = 0; j <= pe; ++j) order[j]->cursor.Next();
-    } else {
-      // Advance the highest-impact trailing cursor up to the pivot.
-      size_t adv = 0;
-      for (size_t j = 1; j <= pe; ++j) {
-        if (order[j]->cursor.doc() >= pivot_doc) continue;
-        if (order[adv]->cursor.doc() >= pivot_doc ||
-            order[j]->max_score > order[adv]->max_score ||
-            (order[j]->max_score == order[adv]->max_score &&
-             order[j]->orig < order[adv]->orig)) {
-          adv = j;
-        }
-      }
-      order[adv]->cursor.NextGEQ(pivot_doc);
-    }
-  }
-  return heap.Take();
-}
-
 // ---- Serialization ----
 
-std::string BlockMaxIndex::SerializeVersion(uint16_t version) const {
-  CKR_CHECK(version >= 1 && version <= kBlockIndexVersion);
+std::string BlockMaxIndex::Serialize() const {
   BinaryWriter writer;
   writer.U32(kBlockIndexMagic);
-  writer.U16(version);
+  writer.U16(kBlockIndexVersion);
   writer.U16(static_cast<uint16_t>(codec()));
   writer.U64(static_cast<uint64_t>(ext_id_.size()));
   writer.U64(static_cast<uint64_t>(store_.NumTerms()));
   for (DocId id : ext_id_) writer.U32(id);
   for (double v : default_norm_) writer.F64(v);
-  store_.AppendTo(&writer, /*include_maxes=*/version >= 2);
+  store_.AppendTo(&writer);
   return writer.Release();
 }
 
@@ -421,7 +321,7 @@ StatusOr<BlockMaxIndex> BlockMaxIndex::Deserialize(std::string_view blob) {
     return Status::InvalidArgument("block index: bad magic");
   }
   const uint16_t version = reader.U16();
-  if (version < 1 || version > kBlockIndexVersion) {
+  if (version != 1 && version != kBlockIndexVersion) {
     return Status::InvalidArgument("block index: unsupported version");
   }
   const uint16_t codec_raw = reader.U16();
@@ -456,8 +356,7 @@ StatusOr<BlockMaxIndex> BlockMaxIndex::Deserialize(std::string_view blob) {
     return Status::InvalidArgument("block index: truncated doc columns");
   }
   StatusOr<BlockPostingsStore> store_or =
-      BlockPostingsStore::ReadFrom(&reader, codec, /*expect_maxes=*/
-                                   version >= 2);
+      BlockPostingsStore::ReadFrom(&reader, codec);
   if (!store_or.ok()) return store_or.status();
   index.store_ = std::move(store_or).value();
   if (!reader.AtEnd()) {
@@ -466,7 +365,6 @@ StatusOr<BlockMaxIndex> BlockMaxIndex::Deserialize(std::string_view blob) {
   if (index.store_.NumTerms() != num_terms) {
     return Status::InvalidArgument("block index: term count mismatch");
   }
-  CKR_RETURN_IF_ERROR(index.store_.ValidateBlocksDecode(num_docs));
   std::vector<DocId> sorted_ids = index.ext_id_;
   std::sort(sorted_ids.begin(), sorted_ids.end());
   if (std::adjacent_find(sorted_ids.begin(), sorted_ids.end()) !=
@@ -474,17 +372,15 @@ StatusOr<BlockMaxIndex> BlockMaxIndex::Deserialize(std::string_view blob) {
     return Status::InvalidArgument("block index: duplicate external doc id");
   }
   index.RecomputeIdf();
-  if (version < 2) {
-    CKR_RETURN_IF_ERROR(index.store_.RecomputeMaxScores(
-        MakeSpan(index.term_idf_), MakeSpan(index.default_norm_)));
-  }
+  CKR_RETURN_IF_ERROR(index.ValidateAndBound());
   return index;
 }
 
 size_t BlockMaxIndex::MemoryBytes() const {
   return store_.MemoryBytes() + ext_id_.capacity() * sizeof(DocId) +
          default_norm_.capacity() * sizeof(double) +
-         term_idf_.capacity() * sizeof(double);
+         term_idf_.capacity() * sizeof(double) +
+         term_max_score_.capacity() * sizeof(double);
 }
 
 }  // namespace ckr

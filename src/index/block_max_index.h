@@ -1,24 +1,26 @@
 // Block-max query evaluation: the pruning-capable retrieval structure that
 // answers disjunctive BM25 top-k queries without scoring every posting.
-// Wraps a BlockPostingsStore (block-compressed postings + skip and
-// max-score metadata) together with everything scoring needs — the
-// external doc ids results are ranked by, the precomputed default-parameter
-// norms, and per-term idf — so the structure is self-contained and
+// Wraps a BlockPostingsStore (block-compressed postings + skip pointers)
+// together with everything scoring needs — the external doc ids results
+// are ranked by, the precomputed default-parameter norms, per-term idf and
+// per-term score maxima — so the structure is self-contained and
 // serializable independently of the full InvertedIndex.
 //
-// Three evaluators, one contract: TopK returns the *identical* result list
-// (same documents, bit-identical scores, same order) for every
-// QueryEvaluator; the pruned ones merely skip work. The exactness argument
+// Two evaluators, one contract: TopK returns the *identical* result list
+// (same documents, bit-identical scores, same order) for both
+// QueryEvaluators; MaxScore merely skips work. The exactness argument
 // (also enforced by the equivalence tests):
 //  * a document's score is the IEEE left-to-right sum of its terms' exact
 //    contributions in query order — the very accumulation order the
 //    exhaustive CSR scorer uses, and absent terms add an exact 0.0, which
 //    is an identity on the nonnegative partial sums;
-//  * every upper bound (per-term maxima for MaxScore, per-block maxima for
-//    Block-Max-WAND) is the fl-sum *in the same query order* of values
-//    that dominate the exact contributions elementwise; round-to-nearest
+//  * every upper bound is the fl-sum *in the same query order* of per-term
+//    maxima, each the largest exact contribution in the term's postings,
+//    so they dominate the exact contributions elementwise; round-to-nearest
 //    addition is monotone, so the bound dominates any achievable score
-//    with zero ULP of slack;
+//    with zero ULP of slack. The maxima are never serialized: Builder and
+//    Deserialize both derive them from the postings the index holds, so
+//    no input can carry a bound that disagrees with its postings;
 //  * a candidate is discarded only when its bound is *strictly* below the
 //    current k-th score — a document tying the threshold can still enter
 //    through the ascending-doc-id tie-break (top_k.h) — so no document of
@@ -41,10 +43,10 @@ namespace ckr {
 
 /// On-disk magic of a serialized BlockMaxIndex ('CKRX').
 inline constexpr uint32_t kBlockIndexMagic = 0x434b5258;
-/// Current format version. v1 blobs (no max-score columns) load too: the
-/// loader rebuilds the maxima from the postings, bit-identically, since
-/// they are pure functions of (df, tf, norm).
-inline constexpr uint16_t kBlockIndexVersion = 2;
+/// The format version Serialize writes. Deserialize also accepts version
+/// 1, whose layout is the same: neither stores score maxima (version 2,
+/// which did, is refused).
+inline constexpr uint16_t kBlockIndexVersion = 3;
 
 /// Immutable after Builder::Finish() / Deserialize(); thread-safe for
 /// concurrent reads (TopK shares no mutable state).
@@ -65,6 +67,8 @@ class BlockMaxIndex {
   const BlockPostingsStore& store() const { return store_; }
   /// External id of internal doc `d` (the id results rank by).
   DocId ExternalId(uint32_t d) const { return ext_id_[d]; }
+  /// Default-parameter BM25 norm of internal doc `d`.
+  double DefaultNorm(uint32_t d) const { return default_norm_[d]; }
 
   /// BM25 top-k over the disjunction of `tids` (dense term ids, distinct,
   /// in *query evaluation order* — score sums follow this order, which is
@@ -73,20 +77,18 @@ class BlockMaxIndex {
   std::vector<SearchResult> TopK(Span<const uint32_t> tids, size_t k,
                                  QueryEvaluator evaluator) const;
 
-  /// Serializes at the current format version.
-  std::string Serialize() const { return SerializeVersion(kBlockIndexVersion); }
-  /// Serializes at an explicit version (1 drops the max-score columns) —
-  /// exposed so tests can exercise the backward-compatible load path.
-  std::string SerializeVersion(uint16_t version) const;
+  /// A 'CKRX' blob at kBlockIndexVersion: header, external ids, norms and
+  /// the postings store; no idf and no score maxima.
+  std::string Serialize() const;
 
   /// Parses a Serialize() blob. Every declared count is validated against
-  /// the bytes present before allocation; every block is decoded and
+  /// the bytes present before allocation; every block is decoded once and
   /// checked (codec well-formedness, strictly ascending in-range doc ids,
   /// nonzero tfs, skip-pointer consistency); external ids must be unique
-  /// and norms finite and positive. v1 blobs get their max-score columns
-  /// rebuilt. Term idf is never stored — it is recomputed from (df, n)
-  /// with the exact formula the scorer uses, so a loaded index scores
-  /// bit-identically to a built one.
+  /// and norms finite and positive. Term idf and term maxima are never
+  /// stored — idf is recomputed from (df, n) with the exact formula the
+  /// scorer uses and the maxima from the decoded postings, so a loaded
+  /// index scores bit-identically to a built one.
   [[nodiscard]] static StatusOr<BlockMaxIndex> Deserialize(
       std::string_view blob);
 
@@ -108,17 +110,23 @@ class BlockMaxIndex {
   /// Builder::Finish and Deserialize use.
   void RecomputeIdf();
 
+  /// The untrusted-load pass: decodes every block once, validates it
+  /// (BlockPostingsStore::ValidateBlock) and folds its exact contributions
+  /// into term_max_score_.
+  [[nodiscard]] Status ValidateAndBound();
+
   std::vector<SearchResult> TopKExhaustive(Span<const uint32_t> tids,
                                            size_t k) const;
   std::vector<SearchResult> TopKMaxScore(Span<const uint32_t> tids,
                                          size_t k) const;
-  std::vector<SearchResult> TopKBlockMaxWand(Span<const uint32_t> tids,
-                                             size_t k) const;
 
   BlockPostingsStore store_;
   std::vector<DocId> ext_id_;         ///< Internal doc index -> external id.
   std::vector<double> default_norm_;  ///< Default-parameter BM25 norm.
   std::vector<double> term_idf_;      ///< Recomputed, never serialized.
+  /// Largest exact contribution in each term's postings (the MaxScore
+  /// bound); derived, never serialized.
+  std::vector<double> term_max_score_;
 };
 
 class BlockMaxIndex::Builder {
@@ -128,7 +136,7 @@ class BlockMaxIndex::Builder {
 
   /// Appends the postings of the next term id. Per-posting exact BM25
   /// contributions (default parameters) are computed here and folded
-  /// into the store's block/term maxima.
+  /// into the term's maximum.
   void AddTerm(Span<const uint32_t> docs, Span<const uint32_t> tfs);
 
   /// Same, with an explicit idf instead of one derived from the local
@@ -150,7 +158,6 @@ class BlockMaxIndex::Builder {
 
   BlockMaxIndex index_;
   BlockPostingsStore::Builder store_builder_;
-  std::vector<double> scores_;
   std::vector<double> explicit_idf_;
   size_t terms_added_ = 0;
 };

@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/binary_io.h"
-#include "index/top_k.h"
 #include "obs/hooks.h"
 
 namespace ckr {
@@ -20,11 +19,9 @@ inline uint32_t BlocksFor(uint32_t postings) {
 // ---- Builder ----
 
 void BlockPostingsStore::Builder::AddTerm(Span<const uint32_t> docs,
-                                          Span<const uint32_t> tfs,
-                                          Span<const double> scores) {
+                                          Span<const uint32_t> tfs) {
   CKR_DCHECK(!finished_);
   CKR_DCHECK_EQ(docs.size(), tfs.size());
-  CKR_DCHECK_EQ(docs.size(), scores.size());
   BlockPostingsStore& s = store_;
   if (s.term_block_offset_.empty()) {
     s.codec_ = codec_;
@@ -36,7 +33,6 @@ void BlockPostingsStore::Builder::AddTerm(Span<const uint32_t> docs,
   s.term_postings_.push_back(n);
   s.num_postings_ += n;
 
-  double term_max = 0.0;
   for (uint32_t begin = 0; begin < n; begin += kPostingBlockSize) {
     const uint32_t count = std::min(kPostingBlockSize, n - begin);
     // Doc column: gaps minus one, rebased on the previous block's last
@@ -60,16 +56,9 @@ void BlockPostingsStore::Builder::AddTerm(Span<const uint32_t> docs,
     s.block_tf_offset_.push_back(s.tf_pool_.size());
 
     s.block_last_doc_.push_back(docs[begin + count - 1]);
-    double block_max = 0.0;
-    for (uint32_t j = 0; j < count; ++j) {
-      block_max = std::max(block_max, scores[begin + j]);
-    }
-    s.block_max_score_.push_back(block_max);
-    term_max = std::max(term_max, block_max);
   }
   s.term_block_offset_.push_back(
       static_cast<uint32_t>(s.block_last_doc_.size()));
-  s.term_max_score_.push_back(term_max);
 }
 
 BlockPostingsStore BlockPostingsStore::Builder::Finish() {
@@ -124,34 +113,27 @@ Status BlockPostingsStore::DecodeBlockInto(uint32_t tid, uint32_t block,
   return Status::OK();
 }
 
-Status BlockPostingsStore::ValidateBlocksDecode(uint64_t num_docs) const {
-  uint32_t docs[kPostingBlockSize];
-  uint32_t tfs[kPostingBlockSize];
-  for (size_t t = 0; t < NumTerms(); ++t) {
-    const uint32_t tid = static_cast<uint32_t>(t);
-    for (uint32_t b = term_block_offset_[t]; b < term_block_offset_[t + 1];
-         ++b) {
-      Status s = DecodeBlockInto(tid, b, docs, tfs);
-      if (!s.ok()) return s;
-      const uint32_t count = BlockDocCount(tid, b);
-      for (uint32_t j = 0; j < count; ++j) {
-        if (j > 0 && docs[j] <= docs[j - 1]) {
-          return Status::InvalidArgument(
-              "block postings: doc ids not strictly ascending");
-        }
-        if (docs[j] >= num_docs) {
-          return Status::InvalidArgument(
-              "block postings: doc id out of range");
-        }
-        if (tfs[j] == 0) {
-          return Status::InvalidArgument("block postings: zero tf");
-        }
-      }
-      if (docs[count - 1] != block_last_doc_[b]) {
-        return Status::InvalidArgument(
-            "block postings: skip pointer disagrees with block contents");
-      }
+Status BlockPostingsStore::ValidateBlock(uint32_t tid, uint32_t block,
+                                         uint64_t num_docs, uint32_t* docs,
+                                         uint32_t* tfs) const {
+  Status s = DecodeBlockInto(tid, block, docs, tfs);
+  if (!s.ok()) return s;
+  const uint32_t count = BlockDocCount(tid, block);
+  for (uint32_t j = 0; j < count; ++j) {
+    if (j > 0 && docs[j] <= docs[j - 1]) {
+      return Status::InvalidArgument(
+          "block postings: doc ids not strictly ascending");
     }
+    if (docs[j] >= num_docs) {
+      return Status::InvalidArgument("block postings: doc id out of range");
+    }
+    if (tfs[j] == 0) {
+      return Status::InvalidArgument("block postings: zero tf");
+    }
+  }
+  if (docs[count - 1] != block_last_doc_[block]) {
+    return Status::InvalidArgument(
+        "block postings: skip pointer disagrees with block contents");
   }
   return Status::OK();
 }
@@ -160,15 +142,12 @@ size_t BlockPostingsStore::MemoryBytes() const {
   return doc_pool_.capacity() + tf_pool_.capacity() +
          term_block_offset_.capacity() * sizeof(uint32_t) +
          term_postings_.capacity() * sizeof(uint32_t) +
-         term_max_score_.capacity() * sizeof(double) +
          block_last_doc_.capacity() * sizeof(uint32_t) +
-         block_max_score_.capacity() * sizeof(double) +
          block_doc_offset_.capacity() * sizeof(uint64_t) +
          block_tf_offset_.capacity() * sizeof(uint64_t);
 }
 
-void BlockPostingsStore::AppendTo(BinaryWriter* writer,
-                                  bool include_maxes) const {
+void BlockPostingsStore::AppendTo(BinaryWriter* writer) const {
   const size_t terms = NumTerms();
   const size_t blocks = NumBlocks();
   writer->U64(static_cast<uint64_t>(terms));
@@ -189,14 +168,9 @@ void BlockPostingsStore::AppendTo(BinaryWriter* writer,
   };
   writer->Str(pool_view(doc_pool_));
   writer->Str(pool_view(tf_pool_));
-  if (include_maxes) {
-    for (double v : block_max_score_) writer->F64(v);
-    for (double v : term_max_score_) writer->F64(v);
-  }
 }
 
-Status BlockPostingsStore::LoadColumns(BinaryReader* reader,
-                                       bool expect_maxes) {
+Status BlockPostingsStore::LoadColumns(BinaryReader* reader) {
   const uint64_t terms = reader->U64();
   const uint64_t blocks = reader->U64();
   num_postings_ = reader->U64();
@@ -234,22 +208,13 @@ Status BlockPostingsStore::LoadColumns(BinaryReader* reader,
   doc_pool_.assign(doc_bytes.begin(), doc_bytes.end());
   const std::string tf_bytes = reader->Str();
   tf_pool_.assign(tf_bytes.begin(), tf_bytes.end());
-  if (expect_maxes) {
-    if (!fits(blocks + terms, 8)) {
-      return Status::InvalidArgument("block postings: truncated max columns");
-    }
-    block_max_score_.resize(static_cast<size_t>(blocks));
-    for (double& v : block_max_score_) v = reader->F64();
-    term_max_score_.resize(static_cast<size_t>(terms));
-    for (double& v : term_max_score_) v = reader->F64();
-  }
   if (!reader->ok()) {
     return Status::InvalidArgument("block postings: truncated payload");
   }
   return Status::OK();
 }
 
-Status BlockPostingsStore::ValidateAfterLoad(bool expect_maxes) {
+Status BlockPostingsStore::ValidateAfterLoad() const {
   const size_t terms = NumTerms();
   const size_t blocks = NumBlocks();
   if (term_block_offset_.front() != 0 ||
@@ -283,59 +248,18 @@ Status BlockPostingsStore::ValidateAfterLoad(bool expect_maxes) {
       return Status::InvalidArgument("block postings: offsets not sorted");
     }
   }
-  if (expect_maxes && (block_max_score_.size() != blocks ||
-                       term_max_score_.size() != terms)) {
-    return Status::InvalidArgument("block postings: max column size");
-  }
   return Status::OK();
 }
 
 StatusOr<BlockPostingsStore> BlockPostingsStore::ReadFrom(
-    BinaryReader* reader, BlockCodec codec, bool expect_maxes) {
+    BinaryReader* reader, BlockCodec codec) {
   BlockPostingsStore store;
   store.codec_ = codec;
-  Status s = store.LoadColumns(reader, expect_maxes);
+  Status s = store.LoadColumns(reader);
   if (!s.ok()) return s;
-  s = store.ValidateAfterLoad(expect_maxes);
+  s = store.ValidateAfterLoad();
   if (!s.ok()) return s;
   return store;
-}
-
-Status BlockPostingsStore::RecomputeMaxScores(
-    Span<const double> term_idf, Span<const double> default_norm) {
-  const Bm25Params defaults;
-  const size_t terms = NumTerms();
-  if (term_idf.size() != terms) {
-    return Status::InvalidArgument("recompute maxes: idf size mismatch");
-  }
-  block_max_score_.assign(NumBlocks(), 0.0);
-  term_max_score_.assign(terms, 0.0);
-  uint32_t docs[kPostingBlockSize];
-  uint32_t tfs[kPostingBlockSize];
-  for (size_t t = 0; t < terms; ++t) {
-    const uint32_t tid = static_cast<uint32_t>(t);
-    double term_max = 0.0;
-    for (uint32_t b = term_block_offset_[t]; b < term_block_offset_[t + 1];
-         ++b) {
-      Status s = DecodeBlockInto(tid, b, docs, tfs);
-      if (!s.ok()) return s;
-      const uint32_t count = BlockDocCount(tid, b);
-      double block_max = 0.0;
-      for (uint32_t j = 0; j < count; ++j) {
-        if (docs[j] >= default_norm.size()) {
-          return Status::InvalidArgument("recompute maxes: doc out of range");
-        }
-        const double tf = static_cast<double>(tfs[j]);
-        const double c = term_idf[t] * tf * (defaults.k1 + 1.0) /
-                         (tf + default_norm[docs[j]]);
-        block_max = std::max(block_max, c);
-      }
-      block_max_score_[b] = block_max;
-      term_max = std::max(term_max, block_max);
-    }
-    term_max_score_[t] = term_max;
-  }
-  return Status::OK();
 }
 
 // ---- PostingCursor ----
@@ -345,7 +269,6 @@ PostingCursor::PostingCursor(const BlockPostingsStore* store, uint32_t tid)
   first_block_ = store->TermFirstBlock(tid);
   num_blocks_ = store->TermBlocks(tid);
   postings_ = store->TermPostings(tid);
-  term_max_ = store->TermMaxScore(tid);
   if (num_blocks_ == 0) return;  // cur_doc_ stays kEndDoc.
   DecodeBlock(0);
   pos_ = 0;
@@ -408,19 +331,6 @@ void PostingCursor::NextGEQ(uint32_t target) {
     CKR_DCHECK_LT(pos_, count_);
   }
   cur_doc_ = docs_[pos_];
-}
-
-PostingCursor::BlockBound PostingCursor::ShallowBound(uint32_t target) const {
-  CKR_DCHECK(!AtEnd());
-  CKR_DCHECK_LE(cur_doc_, target);
-  uint32_t b = cur_block_;
-  while (b < num_blocks_ &&
-         store_->BlockLastDoc(first_block_ + b) < target) {
-    ++b;
-  }
-  if (b >= num_blocks_) return {0.0, kEndDoc};
-  return {store_->BlockMaxScore(first_block_ + b),
-          store_->BlockLastDoc(first_block_ + b)};
 }
 
 }  // namespace ckr

@@ -1,6 +1,5 @@
-// Block-compressed posting lists with skip metadata — the pruning-capable
-// postings representation that backs the MaxScore / Block-Max-WAND
-// evaluators (block_max_index.h).
+// Block-compressed posting lists with skip metadata — the postings
+// representation behind the MaxScore evaluator (block_max_index.h).
 //
 // Layout (all CSR, frozen by the builder):
 //  * each term's postings are cut into fixed 128-entry blocks; every block
@@ -8,17 +7,12 @@
 //    independently through a pluggable integer codec (block_codecs.h),
 //    so a cursor decodes only the blocks a query actually visits;
 //  * per block the store keeps the last doc id (the skip pointer NextGEQ
-//    binary-searches / scans), the byte offsets of its two blobs, and the
-//    maximum exact BM25 contribution of any posting in the block (the
-//    Block-Max-WAND upper bound);
-//  * per term it keeps the posting count and the list-wide maximum
-//    contribution (the MaxScore upper bound).
+//    scans) and the byte offsets of its two blobs;
+//  * per term it keeps the posting count.
 //
-// Upper-bound exactness: block/term maxima are the *same doubles* the
-// scorer computes (idf * tf * (k1+1) / (tf + norm)), so bounds dominate
-// scores by IEEE monotonicity — no epsilon slack, which is what lets the
-// pruned evaluators return bit-identical top-k sets (see
-// block_max_index.cc for the dominance argument).
+// The store holds no scores: the per-term upper bounds MaxScore prunes
+// with live in BlockMaxIndex, which derives them from these postings on
+// build and on load.
 #ifndef CKR_INDEX_BLOCK_POSTINGS_H_
 #define CKR_INDEX_BLOCK_POSTINGS_H_
 
@@ -60,7 +54,6 @@ class BlockPostingsStore {
   uint32_t TermBlocks(uint32_t tid) const {
     return term_block_offset_[tid + 1] - term_block_offset_[tid];
   }
-  double TermMaxScore(uint32_t tid) const { return term_max_score_[tid]; }
 
   /// Bytes of the two encoded pools — the number the >= 2x-vs-CSR
   /// compression acceptance compares.
@@ -70,32 +63,25 @@ class BlockPostingsStore {
   /// Pools plus every metadata column.
   size_t MemoryBytes() const;
 
-  /// Serializes every column (pools, offsets, skip + max metadata) in
-  /// index order. `include_maxes` matches the format version: v1 blobs
-  /// predate the max-score columns, v2 blobs carry them.
-  void AppendTo(BinaryWriter* writer, bool include_maxes) const;
+  /// Serializes every column (pools, offsets, skip pointers) in index
+  /// order.
+  void AppendTo(BinaryWriter* writer) const;
 
   /// Parses an AppendTo payload. Validates counts against the remaining
   /// bytes before any allocation, CSR monotonicity, and blob offsets;
-  /// callers owning the blob format must then run ValidateBlocksDecode
-  /// (codec well-formedness, doc ordering). When `expect_maxes` is false
-  /// (a v1 blob), the max columns come back empty; call
-  /// RecomputeMaxScores before handing the store to a cursor.
+  /// the caller owning the blob format must then decode every block
+  /// through ValidateBlock (codec well-formedness, doc ordering).
   [[nodiscard]] static StatusOr<BlockPostingsStore> ReadFrom(
-      BinaryReader* reader, BlockCodec codec, bool expect_maxes);
+      BinaryReader* reader, BlockCodec codec);
 
-  /// Rebuilds the per-block / per-term max-score columns by decoding
-  /// every block and evaluating the exact default-parameter contribution
-  /// idf * tf * (k1+1) / (tf + norm) — the v1-blob upgrade path.
-  [[nodiscard]] Status RecomputeMaxScores(Span<const double> term_idf,
-                                          Span<const double> default_norm);
-
-  /// Decodes every block and rejects malformed codec payloads,
-  /// non-ascending or out-of-range doc ids, zero tfs, and skip pointers
-  /// that disagree with block contents. Run on every untrusted load (v1
-  /// gets the decode for free via RecomputeMaxScores but still needs the
-  /// range checks).
-  [[nodiscard]] Status ValidateBlocksDecode(uint64_t num_docs) const;
+  /// Decodes global block `block` of term `tid` into `docs` / `tfs` (room
+  /// for kPostingBlockSize each) and rejects malformed codec payloads,
+  /// non-ascending or out-of-range doc ids, zero tfs, and a skip pointer
+  /// that disagrees with the block's contents. Untrusted loads run it on
+  /// every block.
+  [[nodiscard]] Status ValidateBlock(uint32_t tid, uint32_t block,
+                                     uint64_t num_docs, uint32_t* docs,
+                                     uint32_t* tfs) const;
 
   // ---- Cursor support (read-only views over the frozen columns) ----
   uint32_t TermFirstBlock(uint32_t tid) const {
@@ -104,7 +90,6 @@ class BlockPostingsStore {
   uint32_t BlockLastDoc(uint32_t block) const {
     return block_last_doc_[block];
   }
-  double BlockMaxScore(uint32_t block) const { return block_max_score_[block]; }
   /// Docs held by global block `block` of term `tid` (all blocks are full
   /// except a term's last).
   uint32_t BlockDocCount(uint32_t tid, uint32_t block) const;
@@ -117,16 +102,14 @@ class BlockPostingsStore {
  private:
   friend class Builder;
 
-  [[nodiscard]] Status LoadColumns(BinaryReader* reader, bool expect_maxes);
-  [[nodiscard]] Status ValidateAfterLoad(bool expect_maxes);
+  [[nodiscard]] Status LoadColumns(BinaryReader* reader);
+  [[nodiscard]] Status ValidateAfterLoad() const;
 
   BlockCodec codec_ = BlockCodec::kVarintGB;
   uint64_t num_postings_ = 0;
   std::vector<uint32_t> term_block_offset_;  ///< terms+1, global block CSR.
   std::vector<uint32_t> term_postings_;      ///< Postings per term.
-  std::vector<double> term_max_score_;       ///< Max contribution per term.
   std::vector<uint32_t> block_last_doc_;     ///< Skip pointer per block.
-  std::vector<double> block_max_score_;      ///< Max contribution per block.
   std::vector<uint64_t> block_doc_offset_;   ///< blocks+1 into doc_pool_.
   std::vector<uint64_t> block_tf_offset_;    ///< blocks+1 into tf_pool_.
   std::vector<uint8_t> doc_pool_;            ///< Encoded doc-gap blobs.
@@ -137,11 +120,8 @@ class BlockPostingsStore::Builder {
  public:
   explicit Builder(BlockCodec codec) : codec_(codec) {}
 
-  /// Appends term `tid` (== number of AddTerm calls so far). `scores[i]`
-  /// is the exact BM25 contribution of posting i (default parameters);
-  /// the builder folds these into per-block and per-term maxima.
-  void AddTerm(Span<const uint32_t> docs, Span<const uint32_t> tfs,
-               Span<const double> scores);
+  /// Appends term `tid` (== number of AddTerm calls so far).
+  void AddTerm(Span<const uint32_t> docs, Span<const uint32_t> tfs);
 
   BlockPostingsStore Finish();
 
@@ -174,27 +154,12 @@ class PostingCursor {
   bool AtEnd() const { return cur_doc_ == kEndDoc; }
 
   uint32_t postings() const { return postings_; }
-  double term_max_score() const { return term_max_; }
-  /// Upper bound of the current block (undefined at end).
-  double block_max_score() const {
-    CKR_DCHECK(!AtEnd());
-    return store_->BlockMaxScore(first_block_ + cur_block_);
-  }
 
   /// Advances one posting.
   void Next();
   /// Advances to the first posting with doc >= target (no-op when already
   /// there). Skips and never decodes blocks whose last doc < target.
   void NextGEQ(uint32_t target);
-
-  /// Shallow Block-Max-WAND probe: the max score and last doc of the
-  /// block that contains the first posting >= target, without moving the
-  /// cursor or decoding anything. Requires doc() <= target < kEndDoc.
-  struct BlockBound {
-    double max_score = 0.0;
-    uint32_t last_doc = kEndDoc;
-  };
-  BlockBound ShallowBound(uint32_t target) const;
 
  private:
   void DecodeBlock(uint32_t rel_block);
@@ -204,7 +169,6 @@ class PostingCursor {
   uint32_t first_block_ = 0;
   uint32_t num_blocks_ = 0;
   uint32_t postings_ = 0;
-  double term_max_ = 0.0;
   uint32_t cur_block_ = 0;  ///< Relative to first_block_.
   uint32_t count_ = 0;      ///< Postings in the decoded block.
   uint32_t pos_ = 0;        ///< Index into the decoded block.

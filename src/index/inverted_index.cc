@@ -240,7 +240,7 @@ void InvertedIndex::RebuildBlockIndex(BlockCodec codec) {
   for (size_t t = 0; t < num_terms; ++t) {
     if (stats_overridden_) {
       // Same idf expression as the exhaustive scorer above, fed with the
-      // overridden (n, df) so the block maxima and per-posting scores stay
+      // overridden (n, df) so the term maxima and per-posting scores stay
       // bit-identical to the single-index oracle.
       const double dfd = score_df_[t];
       const double idf =
@@ -273,17 +273,30 @@ Status InvertedIndex::LoadBlockIndex(std::string_view blob) {
   if (loaded->NumTerms() != term_ids_.size()) {
     return Status::InvalidArgument("block index blob: term count mismatch");
   }
+  // Search answers kExhaustive from the CSR columns and kMaxScore from the
+  // block index, so the blob must hold exactly this index's ids, norms
+  // and postings for the two to agree bit for bit.
   for (size_t d = 0; d < docs_.size(); ++d) {
     if (loaded->ExternalId(static_cast<uint32_t>(d)) != docs_[d].id) {
       return Status::InvalidArgument("block index blob: doc id mismatch");
     }
+    if (loaded->DefaultNorm(static_cast<uint32_t>(d)) != default_norm_[d]) {
+      return Status::InvalidArgument("block index blob: norm mismatch");
+    }
   }
   for (size_t t = 0; t < term_ids_.size(); ++t) {
-    const uint32_t df =
-        static_cast<uint32_t>(post_offset_[t + 1] - post_offset_[t]);
-    if (loaded->store().TermPostings(static_cast<uint32_t>(t)) != df) {
+    const uint32_t tid = static_cast<uint32_t>(t);
+    if (loaded->store().TermPostings(tid) !=
+        post_offset_[t + 1] - post_offset_[t]) {
       return Status::InvalidArgument(
           "block index blob: document frequency mismatch");
+    }
+    PostingCursor cursor(&loaded->store(), tid);
+    for (size_t p = post_offset_[t]; p < post_offset_[t + 1]; ++p) {
+      if (cursor.doc() != post_doc_[p] || cursor.tf() != post_tf_[p]) {
+        return Status::InvalidArgument("block index blob: posting mismatch");
+      }
+      cursor.Next();
     }
   }
   block_index_ = std::move(loaded).value();

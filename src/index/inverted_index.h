@@ -83,8 +83,8 @@ struct IndexBuildOptions {
   bool store_text = true;
   /// Build the BlockMaxIndex eagerly inside Finalize(). Switching it off
   /// avoids doubling peak memory during million-doc builds; call
-  /// RebuildBlockIndex() later, or leave it off — pruned evaluators fall
-  /// back to the exhaustive scorer (identical results) until it exists.
+  /// RebuildBlockIndex() later, or leave it off — MaxScore falls back to
+  /// the exhaustive scorer (identical results) until it exists.
   bool build_block_index = true;
   /// Build the per-document term-signature matrix inside Finalize() and
   /// gate the multi-term phrase paths (PhraseResultCount, PhraseSearch)
@@ -141,8 +141,8 @@ class InvertedIndex {
   /// least as many docs/tokens, and every local term present with df >=
   /// its local df); nothing is mutated on failure. On success the
   /// default-parameter norms are recomputed and, when a block index
-  /// exists, it is rebuilt under the same codec so the pruned evaluators
-  /// score with the same statistics. Serialized block indexes do not
+  /// exists, it is rebuilt under the same codec so MaxScore scores with
+  /// the same statistics. Serialized block indexes do not
   /// carry the override: LoadBlockIndex() refuses while one is active
   /// (rebuild instead).
   [[nodiscard]] Status OverrideCollectionStats(const CollectionStats& stats);
@@ -156,12 +156,11 @@ class InvertedIndex {
   /// descending score; equal-score documents by ascending external doc
   /// id. The order is total, so the returned top-k is unique.
   ///
-  /// `evaluator` selects the top-k algorithm (top_k.h). The pruned
-  /// evaluators (MaxScore, Block-Max-WAND) run on the block-compressed
-  /// index and return the exact exhaustive result — same documents,
-  /// bit-identical scores — but their max-score metadata is precomputed
-  /// for the default Bm25Params, so a query with non-default parameters
-  /// silently falls back to the exhaustive scorer.
+  /// `evaluator` selects the top-k algorithm (top_k.h). MaxScore runs on
+  /// the block-compressed index and returns the exact exhaustive result —
+  /// same documents, bit-identical scores — but its per-term maxima are
+  /// computed for the default Bm25Params, so a query with non-default
+  /// parameters silently falls back to the exhaustive scorer.
   std::vector<SearchResult> Search(
       std::string_view query, size_t k, const Bm25Params& params = {},
       QueryEvaluator evaluator = QueryEvaluator::kExhaustive) const;
@@ -217,14 +216,14 @@ class InvertedIndex {
   /// Bytes of the Golomb-compressed positions pool (diagnostics).
   size_t PositionPoolBytes() const { return pos_pool_.size(); }
 
-  /// The block-compressed pruning index backing the MaxScore /
-  /// Block-Max-WAND evaluators. Finalize() builds it (with the configured
-  /// codec) unless options.build_block_index is false.
+  /// The block-compressed pruning index backing the MaxScore evaluator.
+  /// Finalize() builds it (with the configured codec) unless
+  /// options.build_block_index is false.
   const BlockMaxIndex& block_index() const { return block_index_; }
 
   /// True once a block index exists (eager Finalize build, explicit
   /// RebuildBlockIndex, or LoadBlockIndex). While false, Search() routes
-  /// pruned evaluators through the exhaustive scorer.
+  /// MaxScore through the exhaustive scorer.
   bool has_block_index() const { return has_block_index_; }
 
   /// Build options this index was constructed with.
@@ -234,12 +233,13 @@ class InvertedIndex {
   /// results are codec-independent; only the compressed size changes).
   void RebuildBlockIndex(BlockCodec codec);
 
-  /// Serialized block index (current format version).
+  /// Serialized block index ('CKRX', kBlockIndexVersion).
   std::string SerializeBlockIndex() const { return block_index_.Serialize(); }
 
   /// Replaces the block index with a deserialized blob after validating it
-  /// agrees with this index (same doc count, external ids, and term
-  /// count). The blob is fully validated before anything is replaced.
+  /// agrees with this index (same doc and term counts, external ids,
+  /// norms and postings). The blob is fully validated before anything is
+  /// replaced.
   [[nodiscard]] Status LoadBlockIndex(std::string_view blob);
 
  private:

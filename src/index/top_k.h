@@ -1,7 +1,7 @@
 // Ranked-retrieval result types and the bounded top-k selector shared by
 // every query evaluator (the exhaustive CSR scorer in inverted_index.cc
-// and the pruned block-max evaluators in block_max_index.cc). One header
-// so all evaluators rank through the *same* total order — the equivalence
+// and the block-index evaluators in block_max_index.cc). One header so
+// all evaluators rank through the *same* total order — the equivalence
 // suite demands identical top-k sets, which starts with identical
 // tie-breaking.
 #ifndef CKR_INDEX_TOP_K_H_
@@ -27,26 +27,23 @@ struct Bm25Params {
   double b = 0.75;
 };
 
-/// Which top-k algorithm Search() runs. All three return the identical
-/// result list (same docs, bit-identical scores, same order); they differ
-/// only in how much work they skip:
+/// Which top-k algorithm Search() runs. Both return the identical result
+/// list (same docs, bit-identical scores, same order); they differ only in
+/// how much work they skip:
 ///  * kExhaustive  scores every posting of every query term (the oracle);
 ///  * kMaxScore    partitions terms into essential/non-essential by their
 ///                 maximum contribution and probes non-essential lists
-///                 only for candidates that can still beat the threshold;
-///  * kBlockMaxWand pivots on per-block score upper bounds and skips whole
-///                 128-doc blocks that cannot contain a top-k document.
+///                 only for candidates that can still beat the threshold.
 enum class QueryEvaluator : uint8_t {
   kExhaustive = 0,
   kMaxScore = 1,
-  kBlockMaxWand = 2,
 };
 
 /// The deterministic ranking contract, shared by every evaluator and by
 /// LegacyInvertedIndex: descending score; equal-score documents are
 /// ordered by ascending (external) doc id. The doc id leg makes the order
 /// total, so the top-k *set* is uniquely determined — the property the
-/// pruned evaluators' equivalence proof rests on.
+/// pruned evaluator's equivalence proof rests on.
 inline bool RankBefore(const SearchResult& a, const SearchResult& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.doc < b.doc;

@@ -24,7 +24,7 @@ struct Suggestion {
   uint64_t freq = 0;
 };
 
-/// Corpus size at which the pruned evaluators start beating the
+/// Corpus size at which the MaxScore evaluator starts beating the
 /// exhaustive scorer wall-clock: below it posting lists are too short
 /// for skipping to pay for its bookkeeping (BENCH_offline.json
 /// scale_legs — exhaustive wins at 6k docs, MaxScore wins by ~7.6x at

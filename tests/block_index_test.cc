@@ -1,7 +1,8 @@
 // Tests for the block-compressed postings layer: integer codec round-trip
 // fuzzing (including block-boundary and single-element edge cases and
 // truncated-blob rejection), skip-cursor traversal, block-max index
-// evaluator equivalence, and the versioned serialization format.
+// evaluator equivalence, and the serialization format (including every
+// single-byte corruption of a blob).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -187,13 +188,8 @@ TermList RandomTermList(Rng* rng, uint32_t num_docs, size_t target_size) {
 BlockPostingsStore MakeStore(BlockCodec codec,
                              const std::vector<TermList>& terms) {
   BlockPostingsStore::Builder builder(codec);
-  std::vector<double> scores;
   for (const TermList& t : terms) {
-    scores.assign(t.tfs.size(), 0.0);
-    for (size_t i = 0; i < t.tfs.size(); ++i) {
-      scores[i] = static_cast<double>(t.tfs[i]);
-    }
-    builder.AddTerm(MakeSpan(t.docs), MakeSpan(t.tfs), MakeSpan(scores));
+    builder.AddTerm(MakeSpan(t.docs), MakeSpan(t.tfs));
   }
   return builder.Finish();
 }
@@ -260,29 +256,6 @@ TEST_P(StoreTest, NextGeqMatchesLowerBound) {
   }
 }
 
-TEST_P(StoreTest, ShallowBoundMatchesContainingBlock) {
-  Rng rng(9);
-  TermList t = RandomTermList(&rng, 1u << 18, 900);
-  BlockPostingsStore store = MakeStore(GetParam(), {t});
-  PostingCursor cur(&store, 0);
-  for (uint32_t target = 0; target < (1u << 18) && !cur.AtEnd();
-       target += 997) {
-    if (cur.doc() > target) continue;
-    PostingCursor::BlockBound bb = cur.ShallowBound(target);
-    auto it = std::lower_bound(t.docs.begin(), t.docs.end(), target);
-    if (it == t.docs.end()) {
-      EXPECT_EQ(bb.last_doc, PostingCursor::kEndDoc);
-      EXPECT_EQ(bb.max_score, 0.0);
-    } else {
-      // The reported block covers the first posting >= target, and its
-      // max dominates that posting's score (scores here are the tfs).
-      const size_t idx = static_cast<size_t>(it - t.docs.begin());
-      EXPECT_GE(bb.last_doc, *it);
-      EXPECT_GE(bb.max_score, static_cast<double>(t.tfs[idx]));
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Codecs, StoreTest,
                          ::testing::Values(BlockCodec::kVarintGB,
                                            BlockCodec::kSimple8b),
@@ -312,7 +285,9 @@ InvertedIndex BuildSyntheticIndex(uint64_t seed, size_t num_docs) {
       } else {
         term = 48 + rng.NextBounded(400);  // Rare tail.
       }
-      text += "w" + std::to_string(term) + " ";
+      text += 'w';
+      text += std::to_string(term);
+      text += ' ';
     }
     index.Add(MakeDoc(static_cast<DocId>(d * 7 + 3), std::move(text)));
   }
@@ -331,6 +306,17 @@ void ExpectIdenticalResults(const std::vector<SearchResult>& expected,
   }
 }
 
+/// Bit-identical result lists, without a failure message per rank (for
+/// sweeps that count divergent cases instead).
+bool SameResults(const std::vector<SearchResult>& a,
+                 const std::vector<SearchResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].doc != b[i].doc || a[i].score != b[i].score) return false;
+  }
+  return true;
+}
+
 TEST(BlockMaxIndexTest, EvaluatorsMatchExhaustive) {
   InvertedIndex index = BuildSyntheticIndex(123, 400);
   const char* queries[] = {"w0",
@@ -345,13 +331,8 @@ TEST(BlockMaxIndexTest, EvaluatorsMatchExhaustive) {
     for (size_t k : {1u, 3u, 10u, 50u, 1000u}) {
       auto oracle = index.Search(q, k);
       auto ms = index.Search(q, k, Bm25Params{}, QueryEvaluator::kMaxScore);
-      auto bmw =
-          index.Search(q, k, Bm25Params{}, QueryEvaluator::kBlockMaxWand);
       ExpectIdenticalResults(oracle, ms,
                              std::string("maxscore q=") + q + " k=" +
-                                 std::to_string(k));
-      ExpectIdenticalResults(oracle, bmw,
-                             std::string("bmw q=") + q + " k=" +
                                  std::to_string(k));
     }
   }
@@ -368,7 +349,9 @@ TEST(BlockMaxIndexTest, DeferredBuildMatchesEagerExactly) {
     std::string text;
     const size_t len = 5 + rng.NextBounded(60);
     for (size_t i = 0; i < len; ++i) {
-      text += "w" + std::to_string(rng.NextBounded(120)) + " ";
+      text += 'w';
+      text += std::to_string(rng.NextBounded(120));
+      text += ' ';
     }
     docs.push_back(MakeDoc(static_cast<DocId>(d * 7 + 3), std::move(text)));
   }
@@ -390,8 +373,7 @@ TEST(BlockMaxIndexTest, DeferredBuildMatchesEagerExactly) {
   for (const char* q : queries) {
     auto oracle = eager.Search(q, 10);
     for (QueryEvaluator evaluator :
-         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-          QueryEvaluator::kBlockMaxWand}) {
+         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
       ExpectIdenticalResults(
           oracle, deferred.Search(q, 10, Bm25Params{}, evaluator),
           std::string("deferred q=") + q);
@@ -402,8 +384,8 @@ TEST(BlockMaxIndexTest, DeferredBuildMatchesEagerExactly) {
   EXPECT_EQ(eager.SerializeBlockIndex(), deferred.SerializeBlockIndex());
   for (const char* q : queries) {
     ExpectIdenticalResults(
-        eager.Search(q, 10, Bm25Params{}, QueryEvaluator::kBlockMaxWand),
-        deferred.Search(q, 10, Bm25Params{}, QueryEvaluator::kBlockMaxWand),
+        eager.Search(q, 10, Bm25Params{}, QueryEvaluator::kMaxScore),
+        deferred.Search(q, 10, Bm25Params{}, QueryEvaluator::kMaxScore),
         std::string("rebuilt q=") + q);
   }
 }
@@ -437,10 +419,7 @@ TEST(BlockMaxIndexTest, DirectBuilderArbitraryQueryOrder) {
         auto oracle =
             idx.TopK(MakeSpan(tids), k, QueryEvaluator::kExhaustive);
         auto ms = idx.TopK(MakeSpan(tids), k, QueryEvaluator::kMaxScore);
-        auto bmw =
-            idx.TopK(MakeSpan(tids), k, QueryEvaluator::kBlockMaxWand);
         ExpectIdenticalResults(oracle, ms, "direct maxscore");
-        ExpectIdenticalResults(oracle, bmw, "direct bmw");
       }
     }
   }
@@ -460,11 +439,9 @@ TEST(BlockMaxIndexTest, RebuildWithSimple8bIsEquivalent) {
   auto oracle = index.Search("w0 w2 w40", 20);
   index.RebuildBlockIndex(BlockCodec::kSimple8b);
   EXPECT_EQ(index.block_index().codec(), BlockCodec::kSimple8b);
-  for (QueryEvaluator ev :
-       {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
-    auto got = index.Search("w0 w2 w40", 20, Bm25Params{}, ev);
-    ExpectIdenticalResults(oracle, got, "simple8b");
-  }
+  auto got =
+      index.Search("w0 w2 w40", 20, Bm25Params{}, QueryEvaluator::kMaxScore);
+  ExpectIdenticalResults(oracle, got, "simple8b");
 }
 
 TEST(BlockMaxIndexTest, CompressionBeatsCsrColumns) {
@@ -491,26 +468,98 @@ TEST_P(BlockIndexSerdeTest, RoundTripCurrentVersion) {
   auto after =
       index.Search("w0 w5 w33", 15, Bm25Params{}, QueryEvaluator::kMaxScore);
   ExpectIdenticalResults(before, after, "serde round trip");
-  auto bmw = index.Search("w0 w5 w33", 15, Bm25Params{},
-                          QueryEvaluator::kBlockMaxWand);
-  ExpectIdenticalResults(before, bmw, "serde round trip bmw");
 }
 
 TEST_P(BlockIndexSerdeTest, V1BlobLoadsAndRebuildsMaxima) {
   InvertedIndex index = BuildSyntheticIndex(29, 250);
   index.RebuildBlockIndex(GetParam());
   auto before =
-      index.Search("w1 w8 w50", 15, Bm25Params{}, QueryEvaluator::kBlockMaxWand);
-  // A v1 blob predates the max-score columns; the loader recomputes them
-  // from the postings, bit-identically.
-  const std::string v1 = index.block_index().SerializeVersion(1);
-  const std::string v2 = index.block_index().SerializeVersion(2);
-  EXPECT_LT(v1.size(), v2.size());
+      index.Search("w1 w8 w50", 15, Bm25Params{}, QueryEvaluator::kMaxScore);
+  // A v1 blob predates the max-score columns and has the current layout
+  // byte for byte, version field aside; the loader derives the maxima from
+  // the postings and re-serializes at the current version.
+  const std::string blob = index.SerializeBlockIndex();
+  std::string v1 = blob;
+  v1[4] = '\1';  // u16 version little-endian low byte.
+  v1[5] = '\0';
   Status s = index.LoadBlockIndex(v1);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  auto after = index.Search("w1 w8 w50", 15, Bm25Params{},
-                            QueryEvaluator::kBlockMaxWand);
+  EXPECT_EQ(index.SerializeBlockIndex(), blob);
+  auto after =
+      index.Search("w1 w8 w50", 15, Bm25Params{}, QueryEvaluator::kMaxScore);
   ExpectIdenticalResults(before, after, "v1 upgrade");
+}
+
+TEST_P(BlockIndexSerdeTest, ByteMutantsRejectedOrMaxScoreExact) {
+  // Every single-byte corruption of a blob (each position xor 0xff, and
+  // each position set to zero) either fails to load or loads an index on
+  // which MaxScore still returns the exhaustive scan's result bit for
+  // bit: the loader derives the pruning bounds from the postings and
+  // norms it accepted, so no blob can carry a bound that disagrees with
+  // them.
+  Rng rng(61);
+  const uint32_t num_docs = 300;
+  std::vector<DocId> ext(num_docs);
+  std::vector<double> norms(num_docs);
+  for (uint32_t d = 0; d < num_docs; ++d) {
+    ext[d] = d * 5 + 2;
+    norms[d] = 0.5 + rng.NextDouble() * 2.0;
+  }
+  // Two multi-block head lists (every doc, every other doc), then a mid
+  // list and a rare tail.
+  std::vector<TermList> terms(2);
+  for (uint32_t d = 0; d < num_docs; ++d) {
+    terms[0].docs.push_back(d);
+    terms[0].tfs.push_back(1 + d % 4);
+    if (d % 2 == 0) {
+      terms[1].docs.push_back(d);
+      terms[1].tfs.push_back(1 + d % 3);
+    }
+  }
+  for (size_t size : {40u, 12u, 3u, 1u}) {
+    terms.push_back(RandomTermList(&rng, num_docs, size));
+  }
+  BlockMaxIndex::Builder builder(GetParam(), ext, norms);
+  for (const TermList& t : terms) {
+    builder.AddTerm(MakeSpan(t.docs), MakeSpan(t.tfs));
+  }
+  const std::string blob = builder.Finish().Serialize();
+  const std::vector<std::vector<uint32_t>> queries = {
+      {0, 4}, {4, 1, 5}, {3, 0}, {5, 4, 3, 2, 1, 0}, {2, 4}};
+
+  size_t accepted = 0;
+  size_t divergent = 0;
+  std::string first_divergent;
+  for (size_t pos = 0; pos < blob.size(); ++pos) {
+    for (const bool flip : {true, false}) {
+      std::string mutant = blob;
+      mutant[pos] = flip ? static_cast<char>(~mutant[pos]) : '\0';
+      if (mutant == blob) continue;
+      StatusOr<BlockMaxIndex> loaded = BlockMaxIndex::Deserialize(mutant);
+      if (!loaded.ok()) continue;
+      ++accepted;
+      bool same = true;
+      for (const auto& tids : queries) {
+        for (size_t k : {1u, 10u}) {
+          same = same &&
+                 SameResults(
+                     loaded->TopK(MakeSpan(tids), k,
+                                  QueryEvaluator::kExhaustive),
+                     loaded->TopK(MakeSpan(tids), k,
+                                  QueryEvaluator::kMaxScore));
+        }
+      }
+      if (!same && divergent++ == 0) {
+        first_divergent = std::to_string(pos);
+        first_divergent += flip ? " xor 0xff" : " set to 0";
+      }
+    }
+  }
+  // Most corrupted norms and external ids stay well-formed, so plenty of
+  // mutants load and the check above is not vacuous.
+  EXPECT_GT(accepted, blob.size() / 4);
+  EXPECT_EQ(divergent, 0u) << "first divergent mutant: byte "
+                           << first_divergent;
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, BlockIndexSerdeTest,
@@ -542,11 +591,14 @@ TEST(BlockIndexSerdeRejects, BadMagicVersionCodecTrailing) {
   bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
   EXPECT_FALSE(BlockMaxIndex::Deserialize(bad_magic).ok());
 
+  // Version 2 stored score maxima and is refused; neither 0 nor a
+  // future version is known.
   std::string bad_version = blob;
-  bad_version[4] = 9;  // u16 version little-endian low byte.
-  EXPECT_FALSE(BlockMaxIndex::Deserialize(bad_version).ok());
-  bad_version[4] = 0;  // Version 0 is below the floor.
-  EXPECT_FALSE(BlockMaxIndex::Deserialize(bad_version).ok());
+  for (const char version : {'\0', '\2', '\x09'}) {
+    bad_version[4] = version;  // u16 version little-endian low byte.
+    EXPECT_FALSE(BlockMaxIndex::Deserialize(bad_version).ok())
+        << "version " << int{version};
+  }
 
   std::string bad_codec = blob;
   bad_codec[6] = 0x7f;  // u16 codec low byte.
@@ -565,6 +617,34 @@ TEST(BlockIndexSerdeRejects, MismatchedIndexRefused) {
   const std::string blob_a = a.SerializeBlockIndex();
   Status s = b.LoadBlockIndex(blob_a);
   EXPECT_FALSE(s.ok());
+}
+
+TEST(BlockIndexSerdeRejects, LoadedMutantsAgreeWithCsrScorer) {
+  // InvertedIndex::Search answers kExhaustive from its own CSR columns and
+  // kMaxScore from the loaded block index, so a blob LoadBlockIndex
+  // accepts must hold exactly this index's norms and postings: any
+  // single-byte mutant either is refused or leaves both evaluators in
+  // bit-for-bit agreement.
+  InvertedIndex index = BuildSyntheticIndex(47, 80);
+  const std::string blob = index.SerializeBlockIndex();
+  const char* queries[] = {"w0 w3", "w1 w2 w3 w4 w5", "w7 w60 w61", "w9"};
+  size_t divergent = 0;
+  for (size_t pos = 0; pos < blob.size(); ++pos) {
+    std::string mutant = blob;
+    mutant[pos] = static_cast<char>(~mutant[pos]);
+    if (!index.LoadBlockIndex(mutant).ok()) continue;
+    for (const char* q : queries) {
+      for (size_t k : {1u, 10u}) {
+        if (!SameResults(index.Search(q, k),
+                         index.Search(q, k, Bm25Params{},
+                                      QueryEvaluator::kMaxScore))) {
+          ++divergent;
+        }
+      }
+    }
+    ASSERT_TRUE(index.LoadBlockIndex(blob).ok());
+  }
+  EXPECT_EQ(divergent, 0u);
 }
 
 }  // namespace

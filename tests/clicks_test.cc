@@ -145,7 +145,8 @@ TEST(FilterReportsTest, AppliesCleaningRules) {
     r.views = views;
     for (size_t i = 0; i < clicks.size(); ++i) {
       AnnotationRecord a;
-      a.key = "k" + std::to_string(i);
+      a.key = "k";
+      a.key += std::to_string(i);
       a.views = views;
       a.clicks = clicks[i];
       r.annotations.push_back(a);
@@ -170,7 +171,8 @@ TEST(FilterReportsTest, CustomThresholds) {
   r.views = 50;
   for (int i = 0; i < 3; ++i) {
     AnnotationRecord a;
-    a.key = "k" + std::to_string(i);
+    a.key = "k";
+    a.key += std::to_string(i);
     a.views = 50;
     a.clicks = 2;
     r.annotations.push_back(a);

@@ -3,9 +3,9 @@
 // corruption, sentence-boundary details, runtime stats bookkeeping.
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "corpus/world.h"
 #include "detect/entity_detector.h"
-#include "framework/binary_io.h"
 #include "framework/store_pack.h"
 #include "querylog/query_generator.h"
 #include "text/sentence.h"
@@ -90,7 +90,9 @@ TEST(QueryMixTest, AllBackgroundTraffic) {
 TEST(UnitCapTest, MaxUnitsBoundsDictionary) {
   QueryLog log;
   for (int i = 0; i < 50; ++i) {
-    log.AddQuery("w" + std::to_string(i), 20);
+    std::string query = "w";
+    query += std::to_string(i);
+    log.AddQuery(query, 20);
   }
   log.Finalize();
   UnitExtractorConfig cfg;

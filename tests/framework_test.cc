@@ -187,7 +187,9 @@ TEST(PackedRelevanceTest, KeepsAtMostHundredTerms) {
   PackedRelevanceStore store(&tids);
   std::vector<RelevantTerm> terms;
   for (int i = 0; i < 150; ++i) {
-    terms.push_back({"t" + std::to_string(i), 150.0 - i});
+    std::string term = "t";
+    term += std::to_string(i);
+    terms.push_back({std::move(term), 150.0 - i});
   }
   store.Add("big", terms);
   store.Finalize();

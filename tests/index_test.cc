@@ -105,10 +105,12 @@ TEST(IndexLargeTest, PhraseCountMatchesBruteForce) {
   index.Finalize();
   const char* phrases[] = {"a b", "b c", "c a", "a b c", "b a b", "c c"};
   for (const char* phrase : phrases) {
+    std::string padded_phrase = " ";
+    padded_phrase += phrase;
+    padded_phrase += ' ';
     uint64_t brute = 0;
     for (const std::string& t : texts) {
-      if ((" " + t + " ").find(" " + std::string(phrase) + " ") !=
-          std::string::npos) {
+      if ((" " + t + " ").find(padded_phrase) != std::string::npos) {
         ++brute;
       }
     }
@@ -133,7 +135,7 @@ TEST(IndexLargeTest, Bm25PrefersRareTerms) {
 TEST(IndexLargeTest, DeterministicTieBreak) {
   // Ranking contract (inverted_index.h): descending score, equal scores
   // broken by ascending external doc id — a total order every evaluator
-  // (exhaustive, MaxScore, Block-Max-WAND) must honor, including when the
+  // (exhaustive, MaxScore) must honor, including when the
   // tie straddles the k-th slot.
   InvertedIndex index;
   index.Add(MakeDoc(5, "same text here"));
@@ -141,8 +143,7 @@ TEST(IndexLargeTest, DeterministicTieBreak) {
   index.Add(MakeDoc(9, "same text here"));
   index.Finalize();
   for (QueryEvaluator evaluator :
-       {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-        QueryEvaluator::kBlockMaxWand}) {
+       {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
     auto results = index.Search("same text", 3, Bm25Params{}, evaluator);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[0].doc, 2u);  // Equal scores: ordered by doc id.
@@ -238,12 +239,13 @@ TEST(IndexOptionsTest, PhraseContractHoldsWithDeferredBlockIndex) {
     }
   };
   expect_phrases_match(deferred);
-  // Pruned evaluators route through the exhaustive scorer while the block
-  // index is deferred — same results, no crash.
-  for (QueryEvaluator evaluator :
-       {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
-    const auto a = deferred.Search("beta gamma", 5, Bm25Params{}, evaluator);
-    const auto b = eager.Search("beta gamma", 5, Bm25Params{}, evaluator);
+  // MaxScore routes through the exhaustive scorer while the block index
+  // is deferred — same results, no crash.
+  {
+    const auto a = deferred.Search("beta gamma", 5, Bm25Params{},
+                                   QueryEvaluator::kMaxScore);
+    const auto b =
+        eager.Search("beta gamma", 5, Bm25Params{}, QueryEvaluator::kMaxScore);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].doc, b[i].doc);
   }

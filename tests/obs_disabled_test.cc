@@ -137,14 +137,13 @@ TEST(ObsDisabledTest, RankerOutputFingerprint) {
 
   // Fold the block-index evaluators' top-50 output into the same
   // fingerprint: the cross-build diff then also proves the block postings
-  // build and the pruned MaxScore / Block-Max-WAND paths are untouched by
-  // observability (every obs hook they emit must be behavior-free).
+  // build and the pruned MaxScore path are untouched by observability
+  // (every obs hook they emit must be behavior-free).
   const InvertedIndex& index = ranker.pipeline().index();
   size_t block_hits = 0;
   for (const QueryEntry& q : ranker.pipeline().query_log().entries()) {
     for (QueryEvaluator evaluator :
-         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-          QueryEvaluator::kBlockMaxWand}) {
+         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
       const auto hits = index.Search(q.text, 50, Bm25Params{}, evaluator);
       block_hits += hits.size();
       for (const SearchResult& r : hits) {

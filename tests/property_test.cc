@@ -341,8 +341,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------- Top-k evaluator equivalence over (seed, codec) ----------
 //
-// MaxScore and Block-Max-WAND prune with bounds that dominate the exact
-// scores with zero slack (index/block_max_index.h), so on ANY corpus and
+// MaxScore prunes with bounds that dominate the exact scores with zero
+// slack (index/block_max_index.h), so on ANY corpus and
 // query they must return exactly the exhaustive top-k — same docs, same
 // order, bit-identical doubles. This sweep hammers that claim with random
 // Zipf-ish corpora and random multi-term queries for both codecs.
@@ -365,7 +365,9 @@ TEST_P(EvaluatorSweep, PrunedTopKIsBitIdenticalToExhaustive) {
       const uint64_t term = u < 55   ? rng.NextBounded(6)
                             : u < 85 ? 6 + rng.NextBounded(30)
                                      : 36 + rng.NextBounded(300);
-      text += "w" + std::to_string(term) + " ";
+      text += 'w';
+      text += std::to_string(term);
+      text += ' ';
     }
     Document doc;
     doc.id = static_cast<DocId>(d * 3 + 1);
@@ -383,19 +385,16 @@ TEST_P(EvaluatorSweep, PrunedTopKIsBitIdenticalToExhaustive) {
     }
     for (size_t k : {1u, 10u, 50u}) {
       const auto oracle = index.Search(query, k);
-      for (QueryEvaluator evaluator :
-           {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
-        const auto got = index.Search(query, k, Bm25Params{}, evaluator);
-        ASSERT_EQ(oracle.size(), got.size())
-            << "query=" << query << " k=" << k;
-        for (size_t i = 0; i < oracle.size(); ++i) {
-          ASSERT_EQ(oracle[i].doc, got[i].doc)
-              << "query=" << query << " k=" << k << " rank=" << i;
-          // Bit-identity, not tolerance: the pruned evaluators sum the
-          // same doubles in the same order as the exhaustive scorer.
-          ASSERT_EQ(oracle[i].score, got[i].score)
-              << "query=" << query << " k=" << k << " rank=" << i;
-        }
+      const auto got =
+          index.Search(query, k, Bm25Params{}, QueryEvaluator::kMaxScore);
+      ASSERT_EQ(oracle.size(), got.size()) << "query=" << query << " k=" << k;
+      for (size_t i = 0; i < oracle.size(); ++i) {
+        ASSERT_EQ(oracle[i].doc, got[i].doc)
+            << "query=" << query << " k=" << k << " rank=" << i;
+        // Bit-identity, not tolerance: MaxScore sums the same doubles in
+        // the same order as the exhaustive scorer.
+        ASSERT_EQ(oracle[i].score, got[i].score)
+            << "query=" << query << " k=" << k << " rank=" << i;
       }
     }
   }
@@ -418,7 +417,7 @@ INSTANTIATE_TEST_SUITE_P(
 // on per-document statistics (tf, df, doc length, average length), all of
 // which are permutation-invariant, and the ranking order is total (score
 // descending, external id ascending). So every public read — ranked
-// search under all three evaluators, disjunctive result counts, phrase
+// search under both evaluators, disjunctive result counts, phrase
 // counts — must be bit-identical under ANY permutation of the internal
 // order, under every codec. This contract is what makes bisection
 // reordering safe to apply inside Finalize().
@@ -439,7 +438,9 @@ TEST_P(DocidOrderSweep, PublicReadsInvariantUnderPermutation) {
       const uint64_t term = u < 55   ? rng.NextBounded(6)
                             : u < 85 ? 6 + rng.NextBounded(30)
                                      : 36 + rng.NextBounded(300);
-      text += "w" + std::to_string(term) + " ";
+      text += 'w';
+      text += std::to_string(term);
+      text += ' ';
     }
     Document doc;
     doc.id = static_cast<DocId>(d * 3 + 1);
@@ -493,8 +494,7 @@ TEST_P(DocidOrderSweep, PublicReadsInvariantUnderPermutation) {
                 other->RegularResultCount(query))
           << "query=" << query;
       for (QueryEvaluator evaluator :
-           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-            QueryEvaluator::kBlockMaxWand}) {
+           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
         expect_same(base.Search(query, 15, Bm25Params{}, evaluator),
                     other->Search(query, 15, Bm25Params{}, evaluator), query);
       }
@@ -605,8 +605,7 @@ TEST_P(ShardedSweep, TopKIsBitIdenticalToSingleIndexOracle) {
     for (size_t k : {1u, 7u, 40u}) {
       const auto expected = oracle.Search(query, k);
       for (QueryEvaluator evaluator :
-           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-            QueryEvaluator::kBlockMaxWand}) {
+           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
         const auto got = sharded.Search(query, k, Bm25Params{}, evaluator);
         ASSERT_EQ(got.size(), expected.size())
             << "query=" << query << " k=" << k << " shards=" << num_shards;
@@ -667,7 +666,7 @@ TEST(ShardedEdgeCases, EmptyShardsAreValidAndInvisible) {
 // can let non-matching documents *through* (they fail the real positional
 // check), but no matching document may be rejected — so every public read
 // must be bit-identical with the prefilter on and off, on any corpus,
-// under both codecs, across all three evaluators. This sweep builds twin
+// under both codecs, under both evaluators. This sweep builds twin
 // indexes over random Zipf-ish corpora and hammers phrase counts, phrase
 // search, ranked search, and disjunctive counts with queries drawn both
 // from inside documents (guaranteed-present phrases) and at random
@@ -775,8 +774,7 @@ TEST_P(SignatureSweep, PrefilterOnAndOffAreBitIdentical) {
     }
     for (size_t k : {1u, 10u, 50u}) {
       for (QueryEvaluator evaluator :
-           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-            QueryEvaluator::kBlockMaxWand}) {
+           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
         const auto a = gated.Search(query, k, Bm25Params{}, evaluator);
         const auto b = plain.Search(query, k, Bm25Params{}, evaluator);
         ASSERT_EQ(a.size(), b.size()) << "query='" << query << "' k=" << k;

@@ -75,8 +75,7 @@ TEST(ScaleSmokeTest, StreamedBuildReorderAndClickLog) {
     EXPECT_EQ(baseline.RegularResultCount(q), reordered.RegularResultCount(q))
         << q;
     for (QueryEvaluator evaluator :
-         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-          QueryEvaluator::kBlockMaxWand}) {
+         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
       const auto got = reordered.Search(q, 20, Bm25Params{}, evaluator);
       ASSERT_EQ(oracle.size(), got.size()) << q;
       for (size_t i = 0; i < oracle.size(); ++i) {

@@ -96,8 +96,7 @@ TEST_F(ServeSmokeTest, ShardedBuildMatchesSingleIndexOracle) {
         << query;
     const auto expected = oracle.Search(query, 10);
     for (QueryEvaluator evaluator :
-         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-          QueryEvaluator::kBlockMaxWand}) {
+         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore}) {
       const auto got = sharded.Search(query, 10, Bm25Params{}, evaluator);
       ASSERT_EQ(got.size(), expected.size()) << query;
       for (size_t r = 0; r < expected.size(); ++r) {

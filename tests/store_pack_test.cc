@@ -3,10 +3,10 @@
 
 #include <cstdio>
 
+#include "common/binary_io.h"
 #include "common/check.h"
 #include "core/contextual_ranker.h"
 #include "corpus/doc_generator.h"
-#include "framework/binary_io.h"
 #include "framework/store_pack.h"
 
 namespace ckr {

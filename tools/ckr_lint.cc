@@ -756,11 +756,13 @@ std::string FormatViolation(const Violation& v) {
 
 FileKind ClassifyPath(std::string_view path) {
   auto in_dir = [&](std::string_view dir) {
-    if (path.substr(0, dir.size() + 1) ==
-        std::string(dir) + "/") {
-      return true;
-    }
-    return path.find("/" + std::string(dir) + "/") != std::string_view::npos;
+    // "dir/..." at the start of the path, or ".../dir/..." inside it.
+    std::string slashed = "/";
+    slashed += dir;
+    slashed += '/';
+    const std::string_view leading = std::string_view(slashed).substr(1);
+    return path.substr(0, leading.size()) == leading ||
+           path.find(slashed) != std::string_view::npos;
   };
   if (in_dir("src")) return FileKind::kSrc;
   if (in_dir("bench")) return FileKind::kBench;
@@ -838,10 +840,10 @@ std::vector<Violation> LintContent(std::string_view path,
     lock_order = &local;
   }
 
-  // R4's precondition: serialization machinery is in scope. Matches both
-  // common/binary_io.h and framework/binary_io.h, plus the block-index
-  // serialization headers (block_postings.h / block_max_index.h expose
-  // AppendTo/Serialize, so TUs including them can feed writers too).
+  // R4's precondition: serialization machinery is in scope. Matches
+  // common/binary_io.h, plus the block-index serialization headers
+  // (block_postings.h / block_max_index.h expose AppendTo/Serialize, so
+  // TUs including them can feed writers too).
   bool includes_binary_io = false;
   std::istringstream lines{std::string(content)};
   std::string raw;
