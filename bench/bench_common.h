@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "core/dataset.h"
@@ -14,6 +15,20 @@
 #include "core/pipeline.h"
 
 namespace ckr_bench {
+
+/// True when the command line selects microbenchmarks with
+/// --benchmark_filter. The perf binaries then run those instead of their
+/// summary, which takes minutes and rewrites its BENCH_*.json in the
+/// working directory. Call before benchmark::Initialize, which removes the
+/// flags it consumes from argv.
+inline bool HasBenchmarkFilter(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]).starts_with("--benchmark_filter=")) {
+      return true;
+    }
+  }
+  return false;
+}
 
 struct Lab {
   std::unique_ptr<ckr::Pipeline> pipeline;

@@ -13,7 +13,9 @@
 //  * flat — the id-keyed contiguous layout with a reused scratch.
 // Plus ProcessBatch scaling across worker threads. The summary run also
 // verifies the two layouts produce bit-identical rankings and writes all
-// measurements to BENCH_runtime.json for machine consumption.
+// measurements to BENCH_runtime.json for machine consumption. The
+// microbenchmarks run instead of the summary when --benchmark_filter is
+// given (--benchmark_filter=. runs them all).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -23,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/contextual_ranker.h"
 #include "corpus/doc_generator.h"
 #include "obs/metrics.h"
@@ -97,6 +100,26 @@ void BM_RuntimeProcessDocument(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_RuntimeProcessDocument)->Unit(benchmark::kMicrosecond);
+
+// A fresh scratch per document: its token memo starts empty, so about half
+// of each document's tokens miss (the case the memo cannot help).
+void BM_RuntimeProcessDocumentColdScratch(benchmark::State& state) {
+  PerfLab* lab = GetLab();
+  size_t i = 0;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    RankerScratch scratch;
+    auto ranked =
+        lab->ranker->runtime().ProcessDocument(lab->docs[i], &scratch,
+                                               nullptr);
+    benchmark::DoNotOptimize(ranked);
+    bytes += lab->docs[i].size();
+    i = (i + 1) % lab->docs.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_RuntimeProcessDocumentColdScratch)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_RuntimeProcessDocumentLegacy(benchmark::State& state) {
   PerfLab* lab = GetLab();
@@ -332,9 +355,13 @@ void RunSummary() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bool filtered = ckr_bench::HasBenchmarkFilter(argc, argv);
   benchmark::Initialize(&argc, argv);
-  RunSummary();
-  benchmark::RunSpecifiedBenchmarks();
+  if (filtered) {
+    benchmark::RunSpecifiedBenchmarks();
+  } else {
+    RunSummary();
+  }
   benchmark::Shutdown();
   return 0;
 }

@@ -10,7 +10,8 @@
 // phase issues, mining wall-clock scaling across worker counts, and the
 // index memory footprint. The summary run verifies both layouts return
 // bit-identical results before timing anything, and writes every number
-// to BENCH_offline.json.
+// to BENCH_offline.json. The microbenchmarks run instead of the summary
+// when --benchmark_filter is given (--benchmark_filter=. runs them all).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "clicks/click_log.h"
 #include "core/pipeline.h"
 #include "corpus/corpus_stream.h"
@@ -1088,6 +1090,7 @@ void RunSummary() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bool filtered = ckr_bench::HasBenchmarkFilter(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (std::getenv("CKR_BENCH_SIGNATURE_SMOKE") != nullptr) {
     // The check_all.sh gate: one paper-scale signature leg, exact-safety
@@ -1107,8 +1110,11 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
     return 0;
   }
-  RunSummary();
-  benchmark::RunSpecifiedBenchmarks();
+  if (filtered) {
+    benchmark::RunSpecifiedBenchmarks();
+  } else {
+    RunSummary();
+  }
   benchmark::Shutdown();
   return 0;
 }

@@ -98,7 +98,18 @@ const std::vector<RawDetection>& EntityDetector::DetectRaw(
 
 const std::vector<RawDetection>& EntityDetector::DetectRawPreTokenized(
     std::string_view text, Scratch* scratch) const {
+  scratch->token_tids.clear();
+  scratch->token_tids.reserve(scratch->tokens.size());
+  for (const Token& t : scratch->tokens) {
+    scratch->token_tids.push_back(matcher_.TermId(t.text));
+  }
+  return DetectRawPreInterned(text, scratch);
+}
+
+const std::vector<RawDetection>& EntityDetector::DetectRawPreInterned(
+    std::string_view text, Scratch* scratch) const {
   const std::vector<Token>& tokens = scratch->tokens;
+  CKR_DCHECK(scratch->token_tids.size() == tokens.size());
   scratch->raw.clear();
 
   // Stage 1: pattern detectors (regex-equivalent scanners). Patterns are
@@ -124,18 +135,15 @@ const std::vector<RawDetection>& EntityDetector::DetectRawPreTokenized(
   // Stage 2: one Aho-Corasick pass over pre-interned term ids for
   // dictionary entities and concepts — unless the signature gate proves
   // no candidate entry can match. The document signature is folded from
-  // the same TermId stream the automaton would consume; any automaton hit
+  // the same TermId stream the automaton consumes; any automaton hit
   // implies all of one entry's terms (hence all of its signature bits)
   // are present, so a document covering no entry row is a true negative.
-  scratch->token_tids.clear();
-  scratch->token_tids.reserve(tokens.size());
   const bool gate = options_.signature_prefilter && !entries_.empty();
   bool any_known = false;
-  if (gate) scratch->doc_sig.assign(entry_sigs_.words_per_row(), 0);
-  for (const Token& t : tokens) {
-    const uint32_t tid = matcher_.TermId(t.text);
-    scratch->token_tids.push_back(tid);
-    if (gate && tid != PhraseMatcher::kUnknownTerm) {
+  if (gate) {
+    scratch->doc_sig.assign(entry_sigs_.words_per_row(), 0);
+    for (const uint32_t tid : scratch->token_tids) {
+      if (tid == PhraseMatcher::kUnknownTerm) continue;
       entry_sigs_.AddTermToSignature(tid, MakeSpan(scratch->doc_sig));
       any_known = true;
     }

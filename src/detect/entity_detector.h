@@ -125,10 +125,21 @@ class EntityDetector {
                                              Scratch* scratch) const;
 
   /// Like DetectRaw but trusts the caller-provided `scratch->tokens`
-  /// (must be Tokenize(text) with default options); lets the runtime
-  /// ranker tokenize once for both stemming and detection.
+  /// (must be Tokenize(text) with default options). Interns each token
+  /// with TermId() into `scratch->token_tids`, then runs
+  /// DetectRawPreInterned.
   const std::vector<RawDetection>& DetectRawPreTokenized(
       std::string_view text, Scratch* scratch) const;
+
+  /// Like DetectRawPreTokenized but also trusts `scratch->token_tids`
+  /// (must hold TermId(t.text) for every token t, in order); lets the
+  /// runtime ranker resolve each distinct token once and reuse the id.
+  const std::vector<RawDetection>& DetectRawPreInterned(
+      std::string_view text, Scratch* scratch) const;
+
+  /// Automaton term id of a normalized token; PhraseMatcher::kUnknownTerm
+  /// if it appears in no candidate entry.
+  uint32_t TermId(std::string_view term) const { return matcher_.TermId(term); }
 
   size_t NumDictionaryEntries() const { return num_dictionary_entries_; }
   size_t NumConceptEntries() const { return num_concept_entries_; }

@@ -1,6 +1,7 @@
 #include "framework/runtime_ranker.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -15,6 +16,11 @@ namespace {
 
 double SafeRate(uint64_t bytes, double seconds) {
   return seconds > 0 ? static_cast<double>(bytes) / 1e6 / seconds : 0.0;
+}
+
+uint64_t NextRankerGeneration() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SortRanked(std::vector<RankedAnnotation>* ranked) {
@@ -411,7 +417,8 @@ RuntimeRanker::RuntimeRanker(const EntityDetector& detector,
       interestingness_(interestingness),
       relevance_(relevance),
       tids_(tids),
-      model_(std::move(model)) {
+      model_(std::move(model)),
+      generation_(NextRankerGeneration()) {
   // Resolve every detector entry to dense store ids once; the per-document
   // path then runs entirely on ids.
   const uint32_t n = static_cast<uint32_t>(detector_.NumEntries());
@@ -444,22 +451,48 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
 std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
     std::string_view text, RankerScratch* scratch, RuntimeStats* stats) const {
   // Stemmer component: tokenize once (shared with detection below) and
-  // stem every non-stopword token into the context TID set.
+  // resolve every token through the memo to its context TID (inserted
+  // into the context set) and its automaton term id (kept for detection).
   int64_t t0 = clock_->NowNanos();
   TokenizeInto(text, &scratch->detect.tokens);
+  if (scratch->memo_generation != generation_) {
+    scratch->token_memo.clear();
+    scratch->memo_generation = generation_;
+  }
   scratch->context.Reset(tids_.size());
+  std::vector<uint32_t>& term_ids = scratch->detect.token_tids;
+  term_ids.clear();
+  uint64_t memo_misses = 0;
   for (const Token& tok : scratch->detect.tokens) {
-    if (IsStopWord(tok.text)) continue;
-    PorterStemInto(tok.text, &scratch->stem_buf);
-    uint32_t tid = tids_.Lookup(scratch->stem_buf);
-    if (tid != GlobalTidTable::kMaxTid) scratch->context.Insert(tid);
+    TokenIds ids;
+    auto it = scratch->token_memo.find(tok.text);
+    if (it != scratch->token_memo.end()) {
+      ids = it->second;
+    } else {
+      ++memo_misses;
+      ids.term_id = detector_.TermId(tok.text);
+      if (!IsStopWord(tok.text)) {
+        PorterStemInto(tok.text, &scratch->stem_buf);
+        ids.context_tid = tids_.Lookup(scratch->stem_buf);
+      }
+      if (tok.text.size() <= RankerScratch::kTokenMemoMaxKeyBytes) {
+        if (scratch->token_memo.size() >= RankerScratch::kTokenMemoCapacity) {
+          scratch->token_memo.clear();
+        }
+        scratch->token_memo.emplace(tok.text, ids);
+      }
+    }
+    term_ids.push_back(ids.term_id);
+    if (ids.context_tid != GlobalTidTable::kMaxTid) {
+      scratch->context.Insert(ids.context_tid);
+    }
   }
   double stem_s = clock_->SecondsSince(t0);
 
   // Ranker component, stage 1: candidate detection on the flat automaton.
   int64_t t1 = clock_->NowNanos();
   const std::vector<RawDetection>& raw =
-      detector_.DetectRawPreTokenized(text, &scratch->detect);
+      detector_.DetectRawPreInterned(text, &scratch->detect);
   double match_s = clock_->SecondsSince(t1);
 
   // Ranker component, stage 2: id-keyed feature assembly + model scoring.
@@ -502,6 +535,7 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
   CKR_OBS_HISTOGRAM_RECORD("ckr.runtime.stage.match_seconds", match_s);
   CKR_OBS_HISTOGRAM_RECORD("ckr.runtime.stage.score_seconds", score_s);
   CKR_OBS_COUNTER_INC("ckr.runtime.documents");
+  CKR_OBS_COUNTER_ADD("ckr.runtime.token_memo_misses", memo_misses);
   CKR_OBS_COUNTER_ADD("ckr.runtime.detections", ranked.size());
   CKR_OBS_COUNTER_ADD("ckr.runtime.bytes_processed", text.size());
 

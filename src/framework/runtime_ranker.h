@@ -2,7 +2,11 @@
 //
 // All mining is offline; the online path must run under tight latency and
 // memory budgets. The components mirror the paper:
-//  * Stemmer — stems the incoming document once and caches the result;
+//  * Stemmer — stems the incoming document once and caches the result:
+//    each distinct token (of at most 15 bytes) is stop-word checked,
+//    Porter-stemmed and resolved to its context TID and automaton term id
+//    once per scratch, and every later occurrence, in this document or the
+//    next, costs one hash probe of the scratch's token memo;
 //  * quantized interestingness store — each of the vector's fields fits in
 //    two bytes ("this causes a minor decrease in granularity"), 18 MB per
 //    million concepts;
@@ -18,8 +22,9 @@
 // concept-id-indexed contiguous arrays (the string-keyed maps are only a
 // build-time convenience), and the Ranker resolves every detector entry to
 // store ids once at construction. The steady-state document path therefore
-// never hashes a std::string and — given a reused RankerScratch — performs
-// no per-document heap allocations beyond its output list. ProcessBatch
+// hashes only its tokens, once each, and — given a reused RankerScratch
+// whose memo already holds the document's words — performs no
+// per-document heap allocations beyond its output list. ProcessBatch
 // fans documents out across worker threads with one scratch per worker and
 // per-index output slots, so results are deterministic in order and
 // content regardless of thread count.
@@ -234,19 +239,47 @@ struct RankedAnnotation {
   double score = 0.0;
 };
 
+/// The ids one normalized token resolves to under one ranker.
+struct TokenIds {
+  /// TID of the token's Porter stem; GlobalTidTable::kMaxTid for a stop
+  /// word or a stem the table does not know.
+  uint32_t context_tid = GlobalTidTable::kMaxTid;
+  /// EntityDetector::TermId of the token.
+  uint32_t term_id = PhraseMatcher::kUnknownTerm;
+};
+
 /// Reusable per-call working state of the Ranker. One per thread; all
-/// buffers are overwritten per document and reused across documents, so
-/// the steady state performs zero heap allocations before the output list.
+/// buffers but the token memo are overwritten per document and reused
+/// across documents, so once the memo holds the vocabulary the steady
+/// state performs zero heap allocations before the output list.
 struct RankerScratch {
+  /// Entries token_memo holds at most; a full memo is cleared and refilled.
+  /// Above the ~11.6k distinct tokens of a paper-scale news vocabulary.
+  static constexpr size_t kTokenMemoCapacity = size_t{1} << 14;
+  /// Longest token the memo keeps. Such a key lives inside its
+  /// std::string, so a full memo takes the same ~1.2 MiB whatever the
+  /// input (libstdc++: 64 B per node plus the bucket array); longer tokens
+  /// (URLs, e-mail addresses) are resolved again on every occurrence.
+  static constexpr size_t kTokenMemoMaxKeyBytes = 15;
+
   EntityDetector::Scratch detect;
   EpochSet context;       ///< Stemmed context TIDs (universe: TID table).
   EpochSet seen_entries;  ///< Detector entries already emitted.
   std::string stem_buf;
   std::vector<double> features;
+  /// Normalized token (Token::text) -> its ids under the ranker whose
+  /// generation is memo_generation. An exact cache of a pure function of
+  /// that ranker's tables, so it never changes ranked output; a scratch
+  /// that meets another ranker clears it first.
+  std::unordered_map<std::string, TokenIds, StringViewHash, std::equal_to<>>
+      token_memo;
+  uint64_t memo_generation = 0;  ///< 0: filled by no ranker yet.
 };
 
 /// The online Ranker component (Figure 4). All stores must be finalized
-/// and outlive the ranker.
+/// and outlive the ranker, and neither they nor the detector may change
+/// while it is in use: entry ids and token ids are resolved against them
+/// once.
 class RuntimeRanker {
  public:
   RuntimeRanker(const EntityDetector& detector,
@@ -267,12 +300,14 @@ class RuntimeRanker {
 
   /// Detects, scores and ranks the concepts of one document. Pattern
   /// entities are excluded (they bypass ranking). Accumulates timing into
-  /// `stats` when non-null. Uses a thread-local scratch.
+  /// `stats` when non-null. Uses a thread-local scratch, whose token memo
+  /// (up to ~1.2 MiB) stays with the thread until it meets another ranker.
   std::vector<RankedAnnotation> ProcessDocument(std::string_view text,
                                                 RuntimeStats* stats = nullptr)
       const;
 
-  /// Explicit-scratch variant for callers that manage worker state.
+  /// Explicit-scratch variant for callers that manage worker state. A
+  /// scratch may serve any number of rankers, one call at a time.
   std::vector<RankedAnnotation> ProcessDocument(std::string_view text,
                                                 RankerScratch* scratch,
                                                 RuntimeStats* stats) const;
@@ -306,6 +341,10 @@ class RuntimeRanker {
   RankSvmModel model_;
   const CtrTracker* tracker_ = nullptr;
   const Clock* clock_ = &RealClock();
+  /// Process-unique tag of this ranker's token ids (never 0). A memo is
+  /// keyed by it rather than by address: a ranker built where a freed one
+  /// lived must not inherit that ranker's memo.
+  uint64_t generation_;
 
   /// Detector entry id -> dense store ids, resolved once at construction
   /// so the document path never hashes a concept key.

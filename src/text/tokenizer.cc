@@ -8,7 +8,13 @@
 namespace ckr {
 namespace {
 
-bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+// The "C" locale's space and upper-case classes, inline: the text domain
+// is ASCII, and a <cctype> call per byte was half of tokenization's time.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+char ToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 bool AllDigits(std::string_view s) {
   if (s.empty()) return false;
@@ -31,8 +37,7 @@ void TokenizeInto(std::string_view text, std::vector<Token>* out,
     if (i >= n) break;
     size_t start = i;
     while (i < n && !IsSpace(text[i])) ++i;
-    std::string_view raw = text.substr(start, i - start);
-    std::string_view piece = raw;
+    std::string_view piece = text.substr(start, i - start);
     size_t begin = start;
     if (options.strip_punct) {
       std::string_view stripped = StripSurroundingPunct(piece);
@@ -43,18 +48,16 @@ void TokenizeInto(std::string_view text, std::vector<Token>* out,
     if (!options.keep_numbers && AllDigits(piece)) continue;
     if (count == out->size()) out->emplace_back();
     Token& tok = (*out)[count++];
-    tok.raw.assign(piece);
     if (options.lowercase) {
       tok.text.resize(piece.size());
       for (size_t c = 0; c < piece.size(); ++c) {
-        tok.text[c] = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(piece[c])));
+        tok.text[c] = ToLower(piece[c]);
       }
     } else {
       tok.text.assign(piece);
     }
     // Possessive normalization: "obama's" matches the entity "obama" (the
-    // raw form and offsets keep the full surface).
+    // offsets keep the full surface).
     if (tok.text.size() > 2 && EndsWith(tok.text, "'s")) {
       tok.text.resize(tok.text.size() - 2);
     }

@@ -11,10 +11,10 @@
 
 namespace ckr {
 
-/// A token with its position in the source text.
+/// A token with its position in the source text. Its original surface
+/// form is the source's byte span [begin, end).
 struct Token {
   std::string text;   ///< Normalized token (lower-cased).
-  std::string raw;    ///< Original surface form.
   size_t begin = 0;   ///< Byte offset of the first character.
   size_t end = 0;     ///< Byte offset one past the last character.
 

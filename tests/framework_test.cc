@@ -3,10 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/check.h"
+#include "common/rng.h"
 #include "framework/bitstream.h"
 #include "framework/golomb.h"
 #include "framework/runtime_ranker.h"
+#include "obs/hooks.h"
+#include "text/porter_stemmer.h"
+#include "text/tokenizer.h"
 
 namespace ckr {
 namespace {
@@ -405,6 +416,315 @@ TEST(PackedRelevanceTest, EmptyStoreSerializationRoundTrip) {
   ASSERT_TRUE(loaded_or.ok());
   EXPECT_EQ(loaded_or->NumConcepts(), 0u);
   EXPECT_DOUBLE_EQ(loaded_or->Score("anything", {}), 0.0);
+}
+
+// ---------- The runtime's per-scratch token memo ----------
+
+const char* const kMemoWords[] = {
+    "market", "river",  "stock",   "bank",    "energy",   "oil",
+    "price",  "court",  "judge",   "vote",    "election", "storm",
+    "coast",  "music",  "band",    "tour",    "running",  "games",
+    "player", "league", "station", "network", "policy",   "council"};
+constexpr size_t kNumMemoWords = std::size(kMemoWords);
+
+// A hand-built runtime over kMemoWords. The dictionary phrases, their
+// feature vectors and their relevant stems are drawn from `seed`, so two
+// worlds number the same tokens and stems differently: a token memo
+// carried from one world's ranker into the other's changes its output.
+// Not movable: the relevance store points at the TID table.
+struct MemoWorld {
+  explicit MemoWorld(uint64_t seed) : relevance(&tids) {
+    Rng rng(seed);
+    std::vector<EntityDetector::DictionaryEntry> dict;
+    for (int i = 0; i < 20; ++i) {
+      std::string key = kMemoWords[rng.NextBounded(kNumMemoWords)];
+      const uint64_t extra = 1 + rng.NextBounded(2);
+      for (uint64_t w = 0; w < extra; ++w) {
+        key += ' ';
+        key += kMemoWords[rng.NextBounded(kNumMemoWords)];
+      }
+      dict.push_back({key, static_cast<EntityType>(rng.NextBounded(7)), 0});
+      phrases.push_back(key);
+    }
+    detector = std::make_unique<EntityDetector>(dict, nullptr);
+    for (const EntityDetector::DictionaryEntry& d : dict) {
+      InterestingnessVector v;
+      v.freq_exact = rng.NextDouble();
+      v.unit_score = rng.NextDouble();
+      v.concept_size = static_cast<double>(rng.NextBounded(4));
+      interest.Add(d.key, v);
+      std::vector<RelevantTerm> terms;
+      for (int t = 0; t < 8; ++t) {
+        RelevantTerm term;
+        term.term = PorterStem(kMemoWords[rng.NextBounded(kNumMemoWords)]);
+        term.score = rng.NextDouble();
+        terms.push_back(term);
+      }
+      relevance.Add(d.key, terms);
+    }
+    interest.Finalize();
+    relevance.Finalize();
+    // Labels follow the relevance feature, so the context TIDs move the
+    // scores.
+    std::vector<RankingInstance> data;
+    for (uint32_t g = 0; g < 12; ++g) {
+      for (int i = 0; i < 5; ++i) {
+        RankingInstance inst;
+        for (size_t f = 0; f <= InterestingnessVector::Dim(); ++f) {
+          inst.features.push_back(rng.NextDouble());
+        }
+        inst.label = inst.features.back() + 0.1 * inst.features[0];
+        inst.group = g;
+        data.push_back(std::move(inst));
+      }
+    }
+    auto trained = RankSvmTrainer().Train(data);
+    CKR_CHECK(trained.ok());
+    model = std::move(*trained);
+  }
+  MemoWorld(const MemoWorld&) = delete;
+  MemoWorld& operator=(const MemoWorld&) = delete;
+
+  RuntimeRanker MakeRanker() const {
+    return RuntimeRanker(*detector, interest, relevance, tids, model);
+  }
+
+  std::vector<std::string> phrases;  ///< The dictionary keys.
+  std::unique_ptr<EntityDetector> detector;
+  QuantizedInterestingnessStore interest;
+  GlobalTidTable tids;
+  PackedRelevanceStore relevance;
+  RankSvmModel model;
+};
+
+// Text over kMemoWords in surface variants (case, plural, possessive,
+// punctuation) with stop words, some of `phrases` and `fillers` distinct
+// filler tokens.
+std::string MemoDoc(uint64_t seed, size_t words,
+                    const std::vector<std::string>& phrases,
+                    size_t fillers = 0) {
+  Rng rng(seed);
+  const char* const stop[] = {"the", "of", "and", "to", "in", "a"};
+  std::string text;
+  size_t filler = 0;
+  for (size_t i = 0; i < words; ++i) {
+    std::string w = kMemoWords[rng.NextBounded(kNumMemoWords)];
+    switch (rng.NextBounded(8)) {
+      case 7: w = phrases[rng.NextBounded(phrases.size())]; break;
+      case 0: w[0] = static_cast<char>(w[0] - 'a' + 'A'); break;
+      case 1: w += 's'; break;
+      case 2: w += "'s"; break;
+      case 3: w += ','; break;
+      case 4: w = stop[rng.NextBounded(std::size(stop))]; break;
+      default: break;
+    }
+    text += w;
+    text += ' ';
+    if (i % 16 != 15) continue;
+    // Filler runs every 16 words leave room for phrases between them.
+    for (size_t f = 0; f < fillers / (words / 16) + 1 && filler < fillers;
+         ++f) {
+      text += 'f';
+      text += std::to_string(filler++);
+      text += ' ';
+    }
+  }
+  return text;
+}
+
+void ExpectSameRanking(const std::vector<RankedAnnotation>& got,
+                       const std::vector<RankedAnnotation>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "at " << i;
+    EXPECT_EQ(got[i].begin, want[i].begin) << "at " << i;
+    EXPECT_EQ(got[i].end, want[i].end) << "at " << i;
+    EXPECT_EQ(got[i].type, want[i].type) << "at " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "at " << i;  // Bit-exact.
+  }
+}
+
+std::vector<RankedAnnotation> FreshRank(const RuntimeRanker& ranker,
+                                        std::string_view text) {
+  RankerScratch fresh;
+  return ranker.ProcessDocument(text, &fresh, nullptr);
+}
+
+bool SameRanking(const std::vector<RankedAnnotation>& a,
+                 const std::vector<RankedAnnotation>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].key != b[i].key || a[i].begin != b[i].begin ||
+        a[i].score != b[i].score) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RuntimeTokenMemoTest, ScratchAlternatingBetweenRankersMatchesFresh) {
+  MemoWorld world_a(1);
+  MemoWorld world_b(2);
+  std::vector<std::string> phrases = world_a.phrases;
+  phrases.insert(phrases.end(), world_b.phrases.begin(),
+                 world_b.phrases.end());
+  const RuntimeRanker a = world_a.MakeRanker();
+  const RuntimeRanker b = world_b.MakeRanker();
+  RankerScratch shared;
+  size_t differing = 0;
+  size_t ranked = 0;
+  for (uint64_t d = 0; d < 12; ++d) {
+    const std::string text = MemoDoc(100 + d, 120, phrases);
+    auto out_a = a.ProcessDocument(text, &shared, nullptr);
+    auto out_b = b.ProcessDocument(text, &shared, nullptr);
+    ExpectSameRanking(out_a, FreshRank(a, text));
+    ExpectSameRanking(out_a, a.ProcessDocumentLegacy(text));
+    ExpectSameRanking(out_b, FreshRank(b, text));
+    ExpectSameRanking(out_b, b.ProcessDocumentLegacy(text));
+    if (!SameRanking(out_a, out_b)) ++differing;
+    ranked += out_a.size() + out_b.size();
+  }
+  // The two worlds must disagree, or a stale memo could not show.
+  EXPECT_GT(ranked, 0u);
+  EXPECT_GT(differing, 0u);
+}
+
+TEST(RuntimeTokenMemoTest, NewRankerAtFreedAddressDoesNotInheritMemo) {
+  MemoWorld world_a(3);
+  MemoWorld world_b(4);
+  std::vector<std::string> phrases = world_a.phrases;
+  phrases.insert(phrases.end(), world_b.phrases.begin(),
+                 world_b.phrases.end());
+  const std::string text = MemoDoc(200, 150, phrases);
+  const auto want_b = FreshRank(world_b.MakeRanker(), text);
+  ASSERT_FALSE(SameRanking(FreshRank(world_a.MakeRanker(), text), want_b));
+
+  RankerScratch scratch;
+  std::optional<RuntimeRanker> slot;
+  slot.emplace(world_a.MakeRanker());
+  const RuntimeRanker* first = &*slot;
+  (void)slot->ProcessDocument(text, &scratch, nullptr);
+  (void)slot->ProcessDocument(text);  // Fills the thread-local scratch.
+  slot.reset();
+  slot.emplace(world_b.MakeRanker());
+  ASSERT_EQ(&*slot, first);  // Same address, different tables.
+  ExpectSameRanking(slot->ProcessDocument(text, &scratch, nullptr), want_b);
+  ExpectSameRanking(slot->ProcessDocument(text), want_b);
+}
+
+TEST(RuntimeTokenMemoTest, OverflowClearsMidDocumentWithoutChangingOutput) {
+  MemoWorld world(5);
+  const RuntimeRanker ranker = world.MakeRanker();
+  RankerScratch scratch;
+  for (uint64_t d = 0; d < 3; ++d) {  // Warm the memo first.
+    (void)ranker.ProcessDocument(MemoDoc(300 + d, 100, world.phrases),
+                                 &scratch, nullptr);
+  }
+  // More distinct filler tokens than the memo holds, interleaved with
+  // vocabulary words before and after the point where it is cleared.
+  const size_t fillers = RankerScratch::kTokenMemoCapacity + 4000;
+  const std::string text = MemoDoc(400, 2000, world.phrases, fillers);
+  auto out = ranker.ProcessDocument(text, &scratch, nullptr);
+  EXPECT_LE(scratch.token_memo.size(), RankerScratch::kTokenMemoCapacity);
+  EXPECT_FALSE(out.empty());
+  ExpectSameRanking(out, FreshRank(ranker, text));
+  ExpectSameRanking(out, ranker.ProcessDocumentLegacy(text));
+  // The refilled memo still answers exactly.
+  const std::string after = MemoDoc(401, 100, world.phrases);
+  ExpectSameRanking(ranker.ProcessDocument(after, &scratch, nullptr),
+                    ranker.ProcessDocumentLegacy(after));
+}
+
+TEST(RuntimeTokenMemoTest, ThreadsWithOwnScratchShareOneRanker) {
+  MemoWorld world(6);
+  const RuntimeRanker ranker = world.MakeRanker();
+  std::vector<std::string> docs;
+  std::vector<std::vector<RankedAnnotation>> want;
+  for (uint64_t d = 0; d < 16; ++d) {
+    docs.push_back(MemoDoc(500 + d, 120, world.phrases));
+    want.push_back(ranker.ProcessDocumentLegacy(docs.back()));
+  }
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::vector<RankedAnnotation>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      RankerScratch scratch;
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < docs.size(); ++i) {
+          // Thread 1 walks the documents backwards.
+          const size_t d = t == 0 ? i : docs.size() - 1 - i;
+          got[t].push_back(ranker.ProcessDocument(docs[d], &scratch, nullptr));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * docs.size());
+    for (size_t k = 0; k < got[t].size(); ++k) {
+      const size_t i = k % docs.size();
+      const size_t d = t == 0 ? i : docs.size() - 1 - i;
+      ExpectSameRanking(got[t][k], want[d]);
+    }
+  }
+}
+
+TEST(RuntimeTokenMemoTest, MissesCountEachDistinctTokenOnce) {
+#if CKR_OBS_ENABLED
+  MemoWorld world(7);
+  const RuntimeRanker ranker = world.MakeRanker();
+  const std::string text = MemoDoc(600, 200, world.phrases);
+  std::set<std::string> distinct;
+  for (const Token& tok : Tokenize(text)) distinct.insert(tok.text);
+  obs::Counter* misses =
+      obs::MetricRegistry::Global().GetCounter("ckr.runtime.token_memo_misses");
+  RankerScratch scratch;
+  const uint64_t before = misses->Value();
+  (void)ranker.ProcessDocument(text, &scratch, nullptr);
+  EXPECT_EQ(misses->Value() - before, distinct.size());
+  EXPECT_EQ(scratch.token_memo.size(), distinct.size());
+  const uint64_t warm = misses->Value();
+  (void)ranker.ProcessDocument(text, &scratch, nullptr);
+  EXPECT_EQ(misses->Value(), warm);
+#else
+  GTEST_SKIP() << "observability hooks compiled out";
+#endif
+}
+
+TEST(RuntimeTokenMemoTest, LongTokensStayOutOfTheMemo) {
+  MemoWorld world(8);
+  const RuntimeRanker ranker = world.MakeRanker();
+  const std::string longest(RankerScratch::kTokenMemoMaxKeyBytes, 'y');
+  const std::string too_long(RankerScratch::kTokenMemoMaxKeyBytes + 1, 'x');
+  std::string text = MemoDoc(700, 200, world.phrases);
+  text += too_long + " http://example.com/a/b " + longest + ' ' + too_long;
+  text += ' ' + MemoDoc(701, 60, world.phrases);
+  size_t long_occurrences = 0;
+  std::set<std::string> short_distinct;
+  for (const Token& tok : Tokenize(text)) {
+    if (tok.text.size() > RankerScratch::kTokenMemoMaxKeyBytes) {
+      ++long_occurrences;
+    } else {
+      short_distinct.insert(tok.text);
+    }
+  }
+  ASSERT_EQ(long_occurrences, 3u);
+  RankerScratch scratch;
+  auto out = ranker.ProcessDocument(text, &scratch, nullptr);
+  EXPECT_FALSE(out.empty());
+  ExpectSameRanking(out, ranker.ProcessDocumentLegacy(text));
+  EXPECT_EQ(scratch.token_memo.size(), short_distinct.size());
+  EXPECT_TRUE(scratch.token_memo.contains(longest));
+#if CKR_OBS_ENABLED
+  // Warm, only the long tokens miss, once per occurrence.
+  obs::Counter* misses =
+      obs::MetricRegistry::Global().GetCounter("ckr.runtime.token_memo_misses");
+  const uint64_t before = misses->Value();
+  ExpectSameRanking(ranker.ProcessDocument(text, &scratch, nullptr), out);
+  EXPECT_EQ(misses->Value() - before, long_occurrences);
+#endif
 }
 
 }  // namespace

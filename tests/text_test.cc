@@ -2,6 +2,9 @@
 // sentence/paragraph/window detection.
 #include <gtest/gtest.h>
 
+#include <cctype>
+
+#include "common/string_util.h"
 #include "text/html.h"
 #include "text/porter_stemmer.h"
 #include "text/sentence.h"
@@ -139,7 +142,62 @@ TEST(TokenizerTest, OffsetsPointIntoSource) {
   EXPECT_EQ(text.substr(toks[0].begin, toks[0].end - toks[0].begin), "Hello");
   EXPECT_EQ(text.substr(toks[1].begin, toks[1].end - toks[1].begin), "world");
   EXPECT_EQ(toks[0].text, "hello");
-  EXPECT_EQ(toks[1].raw, "world");
+  EXPECT_EQ(toks[1].text, "world");
+}
+
+// The surface form is the source span: the normalized text is that span
+// lower-cased, minus a possessive "'s" when the span is longer than two
+// characters.
+TEST(TokenizerTest, TextIsNormalizedSourceSpan) {
+  std::string text = "Obama's  (IT'S) 's x's \"Bush,\"";
+  auto toks = Tokenize(text);
+  ASSERT_EQ(toks.size(), 5u);
+  const char* expected[] = {"obama", "it", "s", "x", "bush"};
+  for (size_t i = 0; i < toks.size(); ++i) {
+    std::string span =
+        ToLowerAscii(text.substr(toks[i].begin, toks[i].end - toks[i].begin));
+    if (span.size() > 2 && EndsWith(span, "'s")) span.resize(span.size() - 2);
+    EXPECT_EQ(toks[i].text, span);
+    EXPECT_EQ(toks[i].text, expected[i]);
+  }
+}
+
+// The tokenizer classifies bytes inline; over every byte value it must
+// agree with the <cctype> classes of the "C" locale the library runs in.
+TEST(TokenizerTest, MatchesCTypeOnEveryByte) {
+  std::string text;
+  for (int round = 0; round < 4; ++round) {
+    for (int b = 0; b < 256; ++b) {
+      text.push_back(static_cast<char>((b * 37 + round * 101) % 256));
+      if (b % (5 + round) == 0) text.push_back("A \t\n,Z'"[b % 8]);
+    }
+  }
+  std::vector<Token> want;
+  size_t i = 0;
+  while (i < text.size()) {
+    auto space = [&](size_t k) {
+      return std::isspace(static_cast<unsigned char>(text[k])) != 0;
+    };
+    while (i < text.size() && space(i)) ++i;
+    const size_t start = i;
+    while (i < text.size() && !space(i)) ++i;
+    std::string_view piece = std::string_view(text).substr(start, i - start);
+    std::string_view stripped = StripSurroundingPunct(piece);
+    if (stripped.empty()) continue;
+    Token tok;
+    for (char c : stripped) {
+      tok.text.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    }
+    if (tok.text.size() > 2 && EndsWith(tok.text, "'s")) {
+      tok.text.resize(tok.text.size() - 2);
+    }
+    tok.begin = static_cast<size_t>(stripped.data() - text.data());
+    tok.end = tok.begin + stripped.size();
+    want.push_back(std::move(tok));
+  }
+  ASSERT_GT(want.size(), 10u);
+  EXPECT_EQ(Tokenize(text), want);
 }
 
 TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
