@@ -89,7 +89,8 @@ void ParallelFor(size_t n, unsigned num_threads, Fn&& fn) {
 /// object per worker so the steady state allocates nothing per item.
 /// Worker ids — not item-to-worker assignment — are deterministic; the
 /// callable must still write only to per-index output slots for results to
-/// be independent of scheduling.
+/// be independent of scheduling. Worker 0 always runs on the calling
+/// thread, so it may use that thread's thread-local state.
 template <typename Fn>
 void ParallelForWorkers(size_t n, unsigned num_threads, Fn&& fn) {
   if (n == 0) return;

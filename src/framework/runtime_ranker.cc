@@ -442,10 +442,20 @@ std::unordered_set<uint32_t> RuntimeRanker::StemToTids(
   return out;
 }
 
+namespace {
+
+/// The calling thread's scratch, shared by the 2-argument ProcessDocument
+/// and worker 0 of ProcessBatch, so its token memo stays warm across both.
+RankerScratch& ThreadRankerScratch() {
+  static thread_local RankerScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
     std::string_view text, RuntimeStats* stats) const {
-  static thread_local RankerScratch scratch;
-  return ProcessDocument(text, &scratch, stats);
+  return ProcessDocument(text, &ThreadRankerScratch(), stats);
 }
 
 std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
@@ -563,11 +573,14 @@ std::vector<std::vector<RankedAnnotation>> RuntimeRanker::ProcessBatch(
   CKR_OBS_COUNTER_INC("ckr.runtime.batches");
   CKR_OBS_COUNTER_ADD("ckr.runtime.batch_docs", docs.size());
   CKR_OBS_GAUGE_SET("ckr.runtime.batch_workers", workers);
-  std::vector<RankerScratch> scratches(workers);
+  // Worker 0 runs on this thread (ParallelForWorkers), so it reuses the
+  // thread's scratch; only the extra workers start with an empty memo.
+  std::vector<RankerScratch> scratches(workers - 1);
   std::vector<RuntimeStats> worker_stats(workers);
   ParallelForWorkers(docs.size(), workers, [&](unsigned worker, size_t i) {
-    results[i] = ProcessDocument(docs[i], &scratches[worker],
-                                 &worker_stats[worker]);
+    RankerScratch* scratch =
+        worker == 0 ? &ThreadRankerScratch() : &scratches[worker - 1];
+    results[i] = ProcessDocument(docs[i], scratch, &worker_stats[worker]);
   });
   if (stats != nullptr) {
     for (const RuntimeStats& ws : worker_stats) stats->Merge(ws);

@@ -313,7 +313,10 @@ class RuntimeRanker {
                                                 RuntimeStats* stats) const;
 
   /// Processes a batch of documents with up to `num_threads` workers (0 or
-  /// 1 = inline). One scratch per worker; results land in per-document
+  /// 1 = inline). One scratch per worker: worker 0 runs on the calling
+  /// thread and reuses that thread's scratch (the one the 2-argument
+  /// ProcessDocument uses), so repeated batches keep its token memo warm;
+  /// the other workers get fresh ones per call. Results land in per-document
   /// output slots, so ordering and content are independent of thread
   /// count. Per-component timing is accumulated per worker and merged into
   /// `stats` when non-null (wall-clock sums across workers, not elapsed

@@ -20,6 +20,32 @@ void CollectionStats::Absorb(const CollectionStats& other) {
   }
 }
 
+namespace {
+
+/// Per-thread working arrays of the exhaustive scan (Search) and the
+/// union count (RegularResultCount). They grow to the largest index the
+/// thread has searched — 13 B per document — and are all-zero between
+/// calls: each call resets exactly the entries it touched, so no call
+/// allocates or clears a docs-sized array.
+struct ScanScratch {
+  std::vector<double> acc;        ///< BM25 score sum per doc.
+  std::vector<uint8_t> seen;      ///< 1 while a doc is marked.
+  std::vector<uint32_t> touched;  ///< Distinct docs touched, first-touch
+                                  ///< order; docs + 1 slots.
+};
+
+ScanScratch& ThreadScanScratch(size_t num_docs) {
+  static thread_local ScanScratch scratch;
+  if (scratch.seen.size() < num_docs) {
+    scratch.acc.resize(num_docs, 0.0);
+    scratch.seen.resize(num_docs, 0);
+    scratch.touched.resize(num_docs + 1);
+  }
+  return scratch;
+}
+
+}  // namespace
+
 uint32_t InvertedIndex::InternTerm(std::string_view token) {
   auto it = term_ids_.find(token);
   if (it != term_ids_.end()) return it->second;
@@ -384,7 +410,7 @@ std::vector<SearchResult> InvertedIndex::Search(
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
 
   // Empty/whitespace-only query: no terms, no results — return before
-  // allocating per-doc accumulators (all evaluators agree on {}).
+  // touching the scan scratch (all evaluators agree on {}).
   if (terms.empty()) {
     CKR_OBS_COUNTER_INC("ckr.index.searches");
     return {};
@@ -408,9 +434,19 @@ std::vector<SearchResult> InvertedIndex::Search(
     return block_index_.TopK(MakeSpan(tids), k, evaluator);
   }
   const double n = score_num_docs_;
-  std::vector<double> acc(docs_.size(), 0.0);
-  std::vector<uint8_t> seen(docs_.size(), 0);
-  std::vector<uint32_t> touched;
+  ScanScratch& scratch = ThreadScanScratch(docs_.size());
+  double* const acc = scratch.acc.data();
+  uint8_t* const seen = scratch.seen.data();
+  uint32_t* const touched = scratch.touched.data();
+  const double* const default_norm = default_norm_.data();
+  const uint32_t* const doc_len = doc_len_.data();
+  // Loop invariants in locals: through `params` and the members the
+  // compiler must assume the acc stores alias them and reload per posting.
+  const double k1 = params.k1;
+  const double b = params.b;
+  const double k1_plus_1 = params.k1 + 1.0;
+  const double avg_doc_len = avg_doc_len_;
+  size_t num_touched = 0;
   for (const std::string& term : terms) {
     uint32_t tid = LookupTerm(term);
     if (tid == kInvalidTid) continue;
@@ -421,27 +457,43 @@ std::vector<SearchResult> InvertedIndex::Search(
                            ? score_df_[tid]
                            : static_cast<double>(slot_docs.size());
     double idf = std::log(1.0 + (n - dfd + 0.5) / (dfd + 0.5));
-    for (size_t slot = 0; slot < slot_docs.size(); ++slot) {
-      uint32_t d = slot_docs[slot];
-      double tf = static_cast<double>(slot_tfs[slot]);
-      double norm =
+    const uint32_t* const docs = slot_docs.data();
+    const uint32_t* const tfs = slot_tfs.data();
+    const size_t len = slot_docs.size();
+    for (size_t slot = 0; slot < len; ++slot) {
+      const uint32_t d = docs[slot];
+      const double tf = static_cast<double>(tfs[slot]);
+      const double norm =
           default_params
-              ? default_norm_[d]
-              : params.k1 * (1.0 - params.b +
-                             params.b * static_cast<double>(doc_len_[d]) /
-                                 avg_doc_len_);
-      acc[d] += idf * tf * (params.k1 + 1.0) / (tf + norm);
-      if (!seen[d]) {
-        seen[d] = 1;
-        touched.push_back(d);
-      }
+              ? default_norm[d]
+              : k1 * (1.0 - b + b * static_cast<double>(doc_len[d]) /
+                                    avg_doc_len);
+      acc[d] += idf * tf * k1_plus_1 / (tf + norm);
+      // Branch-free first touch: the slot past the last distinct doc is
+      // always written and kept only when `d` is new (hence docs + 1
+      // slots).
+      CKR_DCHECK_LT(num_touched, scratch.touched.size());
+      touched[num_touched] = d;
+      num_touched += seen[d] ^ 1u;
+      seen[d] = 1;
     }
   }
+  // Score-first selection, resetting each touched entry as it is read.
+  // A doc scoring strictly below a full heap's threshold is one Push
+  // would reject anyway, so skipping it before loading its external id
+  // leaves the result unchanged.
   TopKHeap heap(k);
-  for (uint32_t d : touched) heap.Push({docs_[d].id, acc[d]});
+  for (size_t i = 0; i < num_touched; ++i) {
+    const uint32_t d = touched[i];
+    const double score = acc[d];
+    acc[d] = 0.0;
+    seen[d] = 0;
+    if (heap.Full() && score < heap.ThresholdScore()) continue;
+    heap.Push({docs_[d].id, score});
+  }
   CKR_OBS_COUNTER_INC("ckr.index.searches");
   CKR_OBS_COUNTER_ADD("ckr.index.search_terms", terms.size());
-  CKR_OBS_COUNTER_ADD("ckr.index.search_docs_touched", touched.size());
+  CKR_OBS_COUNTER_ADD("ckr.index.search_docs_touched", num_touched);
   return heap.Take();
 }
 
@@ -456,17 +508,26 @@ uint64_t InvertedIndex::RegularResultCount(std::string_view query) const {
   // Single-term fast path: the union is one posting list.
   if (terms.size() == 1) return DocFreq(terms[0]);
 
-  std::vector<uint8_t> seen(docs_.size(), 0);
-  uint64_t count = 0;
+  std::vector<uint32_t> tids;
+  tids.reserve(terms.size());
   for (const std::string& term : terms) {
     uint32_t tid = LookupTerm(term);
-    if (tid == kInvalidTid) continue;
+    if (tid != kInvalidTid) tids.push_back(tid);
+  }
+  // Mark the union in the thread's `seen`, then clear exactly those marks
+  // by walking the same lists again: at paper scale that second pass
+  // beats both a touched list (a store per posting) and clearing a fresh
+  // docs-sized bitmap.
+  uint8_t* const seen = ThreadScanScratch(docs_.size()).seen.data();
+  uint64_t count = 0;
+  for (uint32_t tid : tids) {
     for (uint32_t d : CsrRow(post_doc_, post_offset_, tid)) {
-      if (!seen[d]) {
-        seen[d] = 1;
-        ++count;
-      }
+      count += seen[d] ^ 1u;
+      seen[d] = 1;
     }
+  }
+  for (uint32_t tid : tids) {
+    for (uint32_t d : CsrRow(post_doc_, post_offset_, tid)) seen[d] = 0;
   }
   return count;
 }

@@ -161,6 +161,11 @@ class InvertedIndex {
   /// same documents, bit-identical scores — but its per-term maxima are
   /// computed for the default Bm25Params, so a query with non-default
   /// parameters silently falls back to the exhaustive scorer.
+  ///
+  /// The exhaustive scan (and RegularResultCount) accumulates in a
+  /// thread-local scratch kept for the thread's lifetime: 13 B per document
+  /// of the largest index that thread has searched, allocated once instead
+  /// of per call.
   std::vector<SearchResult> Search(
       std::string_view query, size_t k, const Bm25Params& params = {},
       QueryEvaluator evaluator = QueryEvaluator::kExhaustive) const;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -691,6 +692,32 @@ TEST(RuntimeTokenMemoTest, MissesCountEachDistinctTokenOnce) {
 #else
   GTEST_SKIP() << "observability hooks compiled out";
 #endif
+}
+
+TEST(RuntimeTokenMemoTest, RepeatedSingleThreadBatchHitsTheWarmMemo) {
+  MemoWorld world(9);
+  const RuntimeRanker ranker = world.MakeRanker();
+  std::vector<std::string> texts;
+  for (uint64_t d = 0; d < 8; ++d) {
+    texts.push_back(MemoDoc(800 + d, 120, world.phrases));
+  }
+  const std::vector<std::string_view> docs(texts.begin(), texts.end());
+  const auto first = ranker.ProcessBatch(docs, 1);
+#if CKR_OBS_ENABLED
+  obs::Counter* misses =
+      obs::MetricRegistry::Global().GetCounter("ckr.runtime.token_memo_misses");
+  const uint64_t before = misses->Value();
+#endif
+  const auto second = ranker.ProcessBatch(docs, 1);
+#if CKR_OBS_ENABLED
+  // Worker 0 is the calling thread and keeps its scratch between batches.
+  EXPECT_EQ(misses->Value(), before);
+#endif
+  ASSERT_EQ(second.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    ExpectSameRanking(second[i], first[i]);
+    ExpectSameRanking(first[i], ranker.ProcessDocumentLegacy(texts[i]));
+  }
 }
 
 TEST(RuntimeTokenMemoTest, LongTokensStayOutOfTheMemo) {

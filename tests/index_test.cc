@@ -1,8 +1,15 @@
 // Unit tests for ckr_index: postings, BM25 search, phrase search, snippets.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
 #include "corpus/document.h"
 #include "index/inverted_index.h"
+#include "index/legacy_index.h"
 
 namespace ckr {
 namespace {
@@ -273,6 +280,176 @@ TEST(IndexOptionsTest, PhraseEarlyExitsOnEmptyAndOovInput) {
           << "sig=" << with_signatures << " phrase='" << phrase << "'";
     }
     EXPECT_EQ(index.PhraseResultCount("one document"), 1u);
+  }
+}
+
+// The exhaustive scan and the union count share a thread-local scratch
+// that must be all-zero between calls. Each case checks the flat index
+// against LegacyInvertedIndex (which allocates fresh arrays per call), so
+// a stale accumulator, a stale `seen` mark or an overrun of the `touched`
+// array shows up as a differing result. Work runs on fresh threads, whose
+// scratch is sized to exactly the first index they search.
+class IndexScanScratchTest : public ::testing::Test {
+ protected:
+  struct Indexes {
+    InvertedIndex flat;
+    LegacyInvertedIndex legacy;
+  };
+
+  static void SetUpTestSuite() {
+    small_ = Build(60, 11).release();
+    large_ = Build(700, 12).release();
+  }
+  static void TearDownTestSuite() {
+    delete small_;
+    delete large_;
+    small_ = nullptr;
+    large_ = nullptr;
+  }
+
+  // `num_docs` documents over a skewed 60-word vocabulary; "common" is in
+  // every document, so a query holding it touches every doc and then
+  // keeps scanning (the write into the last `touched` slot).
+  static std::unique_ptr<Indexes> Build(size_t num_docs, uint64_t seed) {
+    auto out = std::make_unique<Indexes>();
+    Rng rng(seed);
+    for (size_t i = 0; i < num_docs; ++i) {
+      std::string text = "common";
+      const int64_t len = rng.NextInt(5, 40);
+      for (int64_t t = 0; t < len; ++t) {
+        const double u = rng.NextDouble();
+        text += " w";
+        text += std::to_string(static_cast<int>(60.0 * u * u));
+      }
+      const Document doc = MakeDoc(static_cast<DocId>(1000 + 3 * i), text);
+      out->flat.Add(doc);
+      out->legacy.Add(doc);
+    }
+    out->flat.Finalize();
+    out->legacy.Finalize();
+    return out;
+  }
+
+  static std::vector<std::string> Queries() {
+    return {"common w1", "w0 w3 w7",  "w2",       "common w0 w1 w2 w5",
+            "w59 w58",   "zzz w4",    "w10 w11 w12 w13 w14 w15",
+            "w1 common", "W3 w3 w30"};
+  }
+
+  static std::vector<Bm25Params> ParamSets() {
+    Bm25Params tuned;
+    tuned.k1 = 0.9;
+    tuned.b = 0.4;
+    return {Bm25Params{}, tuned};
+  }
+
+  static void ExpectSameResults(const std::vector<SearchResult>& got,
+                                const std::vector<SearchResult>& want,
+                                const std::string& label) {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].doc, want[i].doc) << label << " rank " << i;
+      EXPECT_EQ(got[i].score, want[i].score) << label << " rank " << i;
+    }
+  }
+
+  // Every query, both parameter sets, a top-10 and an everything cut-off
+  // (the latter exposes every touched doc's score), plus the union count.
+  static void ExpectMatchesOracle(const Indexes& idx, const std::string& tag) {
+    const size_t all = idx.flat.NumDocs();
+    for (const std::string& q : Queries()) {
+      for (const Bm25Params& p : ParamSets()) {
+        for (size_t k : {size_t{10}, all}) {
+          ExpectSameResults(idx.flat.Search(q, k, p), idx.legacy.Search(q, k, p),
+                            tag + " q='" + q + "' k=" + std::to_string(k) +
+                                " k1=" + std::to_string(p.k1));
+        }
+      }
+      EXPECT_EQ(idx.flat.RegularResultCount(q), idx.legacy.RegularResultCount(q))
+          << tag << " q='" << q << "'";
+    }
+  }
+
+  static Indexes* small_;
+  static Indexes* large_;
+};
+
+IndexScanScratchTest::Indexes* IndexScanScratchTest::small_ = nullptr;
+IndexScanScratchTest::Indexes* IndexScanScratchTest::large_ = nullptr;
+
+TEST_F(IndexScanScratchTest, OneThreadAlternatesSmallLargeSmall) {
+  std::thread worker([] {
+    for (int round = 0; round < 2; ++round) {
+      ExpectMatchesOracle(*small_, "small");
+      ExpectMatchesOracle(*large_, "large");
+      ExpectMatchesOracle(*small_, "small again");
+    }
+  });
+  worker.join();
+}
+
+TEST_F(IndexScanScratchTest, EarlyReturnsLeaveScratchClean) {
+  std::thread worker([] {
+    for (const Indexes* idx : {small_, large_}) {
+      const Indexes& x = *idx;
+      for (const Bm25Params& p : ParamSets()) {
+        EXPECT_TRUE(x.flat.Search("", 10, p).empty());
+        EXPECT_TRUE(x.flat.Search("zzz qqq", 10, p).empty());
+        // k = 0 scans and must still reset what it touched.
+        EXPECT_TRUE(x.flat.Search("common w1 w2", 0, p).empty());
+        EXPECT_TRUE(x.flat.Search("w3 w40", 0, p).empty());
+        ExpectSameResults(x.flat.Search("common w1", x.flat.NumDocs(), p),
+                          x.legacy.Search("common w1", x.legacy.NumDocs(), p),
+                          "after early returns");
+      }
+      EXPECT_EQ(x.flat.RegularResultCount(""), 0u);
+      EXPECT_EQ(x.flat.RegularResultCount("zzz qqq"), 0u);
+      ExpectMatchesOracle(x, "after early returns");
+    }
+  });
+  worker.join();
+}
+
+TEST_F(IndexScanScratchTest, ConcurrentSearchesMatchSequentialPass) {
+  const Indexes& x = *large_;
+  const std::vector<std::string> queries = Queries();
+  const std::vector<Bm25Params> params = ParamSets();
+  std::vector<std::vector<SearchResult>> want;
+  for (const std::string& q : queries) {
+    for (const Bm25Params& p : params) want.push_back(x.flat.Search(q, 10, p));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::vector<SearchResult>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different query, so the threads' scans
+      // overlap on different posting lists.
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t j = 0; j < want.size(); ++j) {
+          const size_t i = (j + static_cast<size_t>(t)) % want.size();
+          got[t].push_back(x.flat.Search(queries[i / params.size()], 10,
+                                         params[i % params.size()]));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * want.size());
+    for (size_t j = 0; j < got[t].size(); ++j) {
+      const size_t i = (j % want.size() + static_cast<size_t>(t)) % want.size();
+      ExpectSameResults(got[t][j], want[i],
+                        "thread " + std::to_string(t) + " item " +
+                            std::to_string(j));
+    }
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectSameResults(want[i],
+                      x.legacy.Search(queries[i / params.size()], 10,
+                                      params[i % params.size()]),
+                      "sequential vs oracle " + std::to_string(i));
   }
 }
 
